@@ -38,19 +38,24 @@
 //    log (replica/wal_tailer.h): each Refresh() scans the committed log
 //    suffix past the replica's applied LSN and applies every complete
 //    commit window — pre-images captured into the epoch chain, page
-//    images installed into a copy-on-write pool overlay, clip runs
-//    decoded into the replica's clip index — publishing exactly one
-//    epoch per committed transaction. Pinned snapshots get the same
+//    images patched in place into the pool's read overlay (one page at
+//    a time, so a window costs O(its pages)), clip runs decoded into the
+//    replica's clip index — publishing exactly one epoch per committed
+//    transaction. Pinned snapshots get the same
 //    isolation as in-process readers; unpinned queries auto-pin the
 //    latest applied epoch and see fresh data within one poll interval
 //    (OpenOptions::follow_poll_ms, or explicit Refresh()). When the
 //    writer checkpoints it bumps the superblock's checkpoint generation
 //    BEFORE truncating the log; the replica detects the bump (or a
-//    shrunk log) and rebases — re-reads changed pages from the durable
-//    page file, drops its overlay, and keeps pinned epochs valid via
-//    the refcounted pre-image chain. A pinned epoch whose pre-image was
-//    lost to a racing writer write-back fails kStaleSnapshot rather
-//    than serve a torn-in-time view.
+//    shrunk log) and rebases. A replica that applied every window the
+//    checkpointed file reflects (applied LSN >= the file superblock's
+//    LSN) already shows exactly the file's bytes, so its rebase is O(1):
+//    drop the overlay, install the new superblock, republish. Otherwise
+//    the full rebase re-reads every section page from the durable file,
+//    captures the changed ones, drops its overlay, and keeps pinned
+//    epochs valid via the refcounted pre-image chain. A pinned epoch
+//    whose pre-image was lost to a racing writer write-back fails
+//    kStaleSnapshot rather than serve a torn-in-time view.
 //
 // Query results, visit order, and logical access counts are identical to
 // the in-memory RTree running the same tree (parity-tested).
@@ -238,7 +243,11 @@ class PagedRTree {
     clip_index_.Compact();
     clips_ = &clip_index_;
     follow_mode_ = true;
-    applied_lsn_ = std::max(sb_.lsn, recovery_.max_lsn);
+    // Committed state only: a pending record tail (a reader-forced sync
+    // can make one durable mid-transaction) is not applied, and counting
+    // its LSNs would let Rebase take a transaction this replica never
+    // saw for one it already has.
+    applied_lsn_ = std::max(sb_.lsn, recovery_.last_commit_lsn);
     gen_ = sb_.checkpoint_gen;
     FinishOpen(opts);
     // A read racing the live writer's in-place pwrite can observe a torn
@@ -454,7 +463,6 @@ class PagedRTree {
     spill_of_.clear();
     redo_overlay_.clear();
     tailer_.reset();
-    overlay_handle_.reset();
     follow_mode_ = false;
     applied_lsn_ = 0;
     gen_ = 0;
@@ -575,9 +583,13 @@ class PagedRTree {
                               ? ts.last_log_bytes - consumed
                               : 0);
       }
-      registry.SetCounter("replica_rebases_total", rebases_);
+      registry.SetCounter("replica_rebases_total{path=\"fast\"}",
+                          fast_rebases_);
+      registry.SetCounter("replica_rebases_total{path=\"full\"}",
+                          full_rebases_);
       registry.SetCounter("replica_epochs_republished", windows_applied_);
       registry.SetHistogram("replica_apply_ns", apply_ns_);
+      registry.SetHistogram("replica_rebase_ns", rebase_ns_);
     }
   }
 
@@ -588,7 +600,10 @@ class PagedRTree {
   /// Follow mode: WAL LSN the published replica state has applied
   /// through (stable between Refresh calls; 0 on non-followers).
   uint64_t replica_applied_lsn() const { return applied_lsn_; }
-  uint64_t replica_rebases() const { return rebases_; }
+  uint64_t replica_rebases() const { return fast_rebases_ + full_rebases_; }
+  /// Rebases that found the replica caught up (O(1), no page pass); the
+  /// rest re-read the whole section (see Rebase).
+  uint64_t replica_fast_rebases() const { return fast_rebases_; }
   /// Commit windows applied (== epochs republished, counting windows
   /// whose only image was the superblock and thus minted no delta).
   uint64_t replica_windows_applied() const { return windows_applied_; }
@@ -1398,13 +1413,10 @@ class PagedRTree {
     pool_ = std::make_unique<storage::BufferPool>(
         frames, &file_, opts.pool_shards > 0 ? opts.pool_shards : 1);
     if (!redo_overlay_.empty()) {
-      // The pool holds a shared handle to an IMMUTABLE map; the follower
-      // advances it by building a new map and swapping the handle (see
-      // BufferPool::SetReadOverlay's swap rule).
-      overlay_handle_ = std::make_shared<const storage::RecoveredPageMap>(
-          std::move(redo_overlay_));
+      // The pool owns the overlay from here on; the follower patches it
+      // in place per applied window (BufferPool::PatchReadOverlay).
+      pool_->SetReadOverlay(std::move(redo_overlay_));
       redo_overlay_.clear();  // moved-from: make the state definite
-      pool_->SetReadOverlay(overlay_handle_);
     }
     // Every miss read is verified — checksum first, then structural
     // bounds — before the frame becomes visible to any traversal.
@@ -1423,9 +1435,11 @@ class PagedRTree {
     win_captured_.clear();
     win_clip_captured_.clear();
     capture_reads_.store(0, std::memory_order_relaxed);
-    rebases_ = 0;
+    fast_rebases_ = 0;
+    full_rebases_ = 0;
     windows_applied_ = 0;
     apply_ns_ = obs::Histogram{};
+    rebase_ns_ = obs::Histogram{};
     open_ = true;
   }
 
@@ -1603,26 +1617,19 @@ class PagedRTree {
   }
 
   /// Applies one committed transaction — one replica epoch. Order is the
-  /// writer's capture-then-install protocol, wholesale: (1) pre-images
-  /// into the pending epoch under the manager mutex, (2) the new images
-  /// become visible (copy-on-write overlay swap + resident-frame
-  /// refresh), (3) clip runs and the cached shape advance, (4) publish.
+  /// writer's capture-then-install protocol: (1) pre-images into the
+  /// pending epoch under the manager mutex, (2) the new images become
+  /// visible page by page (overlay patch + resident-frame refresh; a
+  /// reader's copy-then-recheck finds each pre-image already captured),
+  /// (3) clip runs and the cached shape advance, (4) publish. Costs
+  /// O(pages in the window), however large the overlay has grown.
   void ApplyWindow(const replica::WalCommitWindow& win) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const replica::WalPageImage& img : win.images) {
       CaptureReplicaPreImage(img.page_id, img.lsn);
     }
-    auto next =
-        overlay_handle_
-            ? std::make_shared<storage::RecoveredPageMap>(*overlay_handle_)
-            : std::make_shared<storage::RecoveredPageMap>();
     for (const replica::WalPageImage& img : win.images) {
-      (*next)[img.page_id] = img.bytes;
-    }
-    overlay_handle_ = std::move(next);
-    pool_->SetReadOverlay(overlay_handle_);
-    for (const replica::WalPageImage& img : win.images) {
-      pool_->RefreshResident(img.page_id, img.bytes.data());
+      pool_->PatchReadOverlay(img.page_id, img.bytes.data());
     }
     for (const replica::WalPageImage& img : win.images) {
       if (img.page_id == 0) {
@@ -1643,27 +1650,64 @@ class PagedRTree {
     op_seq_ = win.op_seq;
     PublishEpoch();
     ++windows_applied_;
-    apply_ns_.Record(static_cast<uint64_t>(
+    apply_ns_.Record(ElapsedNs(t0));
+  }
+
+  static uint64_t ElapsedNs(std::chrono::steady_clock::time_point t0) {
+    return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
-            .count()));
+            .count());
   }
 
   /// Resynchronizes from the page file after the writer checkpointed
-  /// (generation bump / shrunk log): every section page whose durable
-  /// bytes differ from the replica's visible bytes gets its old version
-  /// captured (pinned epochs stay exact), then the superseded overlay is
-  /// dropped — the file is fully durable past a checkpoint, so it IS the
-  /// replica state — and one "jump" epoch is published. Returns false on
-  /// an unreadable page (transient while the writer is mid-write; the
-  /// next Refresh retries; no state was modified past the captures,
-  /// which are harmless duplicates on retry).
+  /// (generation bump / shrunk log). The file is fully durable past a
+  /// checkpoint, so it IS the replica state from here on, and the
+  /// overlay is dropped. Two paths:
+  ///
+  ///  * Fast, O(1): the replica applied every window the file reflects
+  ///    (applied LSN >= the file superblock's LSN — every committed
+  ///    transaction rewrites the superblock, so its LSN is that of the
+  ///    last one; applied_lsn_ counts committed records only, see
+  ///    OpenFollowImpl). The file then equals base plus overlay, so the
+  ///    visible bytes, clip runs and shape are already right: only the
+  ///    superblock, generation and tailer move.
+  ///  * Full, O(section): the replica missed windows (they went with the
+  ///    truncated log). Every section page whose durable bytes differ
+  ///    from the visible ones gets its old version captured (pinned
+  ///    epochs stay exact) and its clip run reapplied.
+  ///
+  /// Either way one "jump" epoch is published. Returns false on an
+  /// unreadable page (transient while the writer is mid-write; the next
+  /// Refresh retries; no state was modified past the captures, which are
+  /// harmless duplicates on retry).
   bool Rebase(const Superblock& fsb) {
     const auto t0 = std::chrono::steady_clock::now();
     if (!serialize_internal::SuperblockSane(fsb,
                                             static_cast<uint32_t>(D))) {
       return false;
     }
+    const bool fast = applied_lsn_ >= fsb.lsn;
+    if (fast) {
+      pool_->SetReadOverlay({});
+    } else if (!RebaseFromFile(fsb)) {
+      return false;
+    }
+    ApplyReplicaSuperblock(fsb);
+    applied_lsn_ = std::max(applied_lsn_, fsb.lsn);
+    op_seq_ = std::max(op_seq_, fsb.last_op_seq);
+    gen_ = fsb.checkpoint_gen;
+    tailer_->ResetToStart();
+    ++(fast ? fast_rebases_ : full_rebases_);
+    PublishEpoch();
+    rebase_ns_.Record(ElapsedNs(t0));
+    return true;
+  }
+
+  /// The full rebase's page pass (see Rebase): captures and refreshes
+  /// every changed section page, reapplies every clip run, drops the
+  /// overlay and recomputes the shape from the file's root.
+  bool RebaseFromFile(const Superblock& fsb) {
     const size_t ps = sb_.file_page_size;
     std::vector<std::byte> file_page(ps);
     std::vector<std::byte> root_page;
@@ -1711,23 +1755,11 @@ class PagedRTree {
       // the epoch manager's base table, never this live index.
       ApplyClipUpdate(fid, file_page.data(), ps);
     }
-    overlay_handle_.reset();
-    pool_->SetReadOverlay(nullptr);
+    pool_->SetReadOverlay({});
     for (const auto& [fid, bytes] : changed) {
       pool_->RefreshResident(fid, bytes.data());
     }
-    ApplyReplicaSuperblock(fsb);
     if (!root_page.empty()) RefreshShapeFromRoot(root_page.data());
-    applied_lsn_ = fsb.lsn;
-    op_seq_ = std::max(op_seq_, fsb.last_op_seq);
-    gen_ = fsb.checkpoint_gen;
-    tailer_->ResetToStart();
-    ++rebases_;
-    PublishEpoch();
-    apply_ns_.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
     return true;
   }
 
@@ -2126,14 +2158,10 @@ class PagedRTree {
   storage::PageFile file_;
   std::unique_ptr<storage::BufferPool> pool_;
   /// Open-time redo scratch: newest committed WAL images a read-only
-  /// open must not write into the file (empty in write mode). Consumed
-  /// by FinishOpen into `overlay_handle_`, the immutable shared map the
-  /// pool reads from any shard without a latch.
+  /// open must not write into the file (empty in write mode). Handed to
+  /// the pool by FinishOpen, which owns the overlay from then on (patched
+  /// per applied window in follow mode, dropped at rebase).
   storage::RecoveredPageMap redo_overlay_;
-  /// Overlay currently attached to the pool: the committed log images at
-  /// open, advanced copy-on-write per applied window in follow mode, and
-  /// dropped wholesale at rebase (the page file is then authoritative).
-  std::shared_ptr<const storage::RecoveredPageMap> overlay_handle_;
   Superblock sb_{};
   core::ClipIndex<D> clip_index_;  // read-only mode's clip table
   const core::ClipIndex<D>* clips_ = &clip_index_;  // active table
@@ -2191,15 +2219,18 @@ class PagedRTree {
   bool follow_mode_ = false;
   std::unique_ptr<replica::WalTailer> tailer_;
   /// WAL LSN the replica's published state has applied through: the
-  /// commit record of the last applied window; the superblock LSN right
-  /// after open or a rebase. Stays 0 on non-followers (the staleness
-  /// gate in SnapshotSource is then disabled).
+  /// commit record of the last applied window (at open, the last one
+  /// recovered — never a pending tail's records), or the superblock LSN
+  /// after a rebase that had missed windows. Never decreases while open. Stays 0 on non-followers (the staleness gate in
+  /// SnapshotSource is then disabled).
   uint64_t applied_lsn_ = 0;
   /// Checkpoint generation the replica's log cursor is valid for.
   uint32_t gen_ = 0;
-  uint64_t rebases_ = 0;
+  uint64_t fast_rebases_ = 0;  // caught up: overlay dropped, no page pass
+  uint64_t full_rebases_ = 0;  // missed windows: every page re-read
   uint64_t windows_applied_ = 0;
-  obs::Histogram apply_ns_;
+  obs::Histogram apply_ns_;   // per applied commit window
+  obs::Histogram rebase_ns_;  // per rebase, both paths
   /// Serializes Refresh() callers (user thread vs poll thread) and
   /// guards the replica counters for PublishMetrics.
   mutable std::mutex refresh_mu_;

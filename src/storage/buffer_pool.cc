@@ -122,26 +122,21 @@ bool BufferPool::Access(PageId id) {
 bool BufferPool::LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
                            Status* status) {
   // Pages whose newest committed image lives only in the WAL (read-only
-  // redo overlay) never touch the file. An overlay image is plain memory:
-  // re-reading it cannot change the outcome, so a verify rejection is
-  // final with no retry. The handle is grabbed once — a concurrent
-  // SetReadOverlay swap cannot change the map mid-read.
-  if (auto overlay = OverlayRef()) {
-    auto oit = overlay->find(id);
-    if (oit != overlay->end()) {
-      std::memcpy(dst, oit->second.data(), file_->page_size());
-      if (verifier_) {
-        const Status v = verifier_(id, dst);
-        if (!v.ok()) {
-          obs::EventLog::Global().Record(
-              obs::EventKind::kChecksumReject, id,
-              ShardIndexOf(shards_.size(), id), ErrorKindName(v.kind));
-          if (status) *status = v;
-          return false;
-        }
+  // redo or follower overlay) never touch the file. An overlay image is
+  // plain memory: re-reading it cannot change the outcome, so a verify
+  // rejection is final with no retry.
+  if (CopyFromOverlay(id, dst)) {
+    if (verifier_) {
+      const Status v = verifier_(id, dst);
+      if (!v.ok()) {
+        obs::EventLog::Global().Record(
+            obs::EventKind::kChecksumReject, id,
+            ShardIndexOf(shards_.size(), id), ErrorKindName(v.kind));
+        if (status) *status = v;
+        return false;
       }
-      return true;
     }
+    return true;
   }
   Status last{ErrorKind::kIo, id};
   for (unsigned attempt = 0; attempt <= kMaxReadRetries; ++attempt) {
@@ -344,6 +339,57 @@ bool BufferPool::RefreshResident(PageId id, const std::byte* src) {
   return true;
 }
 
+void BufferPool::SetReadOverlay(RecoveredPageMap overlay) {
+  OverlayMap next;
+  next.reserve(overlay.size());
+  for (auto& [id, bytes] : overlay) {
+    next.emplace(id, std::make_shared<const std::vector<std::byte>>(
+                         std::move(bytes)));
+  }
+  {
+    std::lock_guard<std::mutex> lock(overlay_mu_);
+    overlay_.swap(next);
+    overlay_attached_.store(!overlay_.empty(), std::memory_order_release);
+  }
+  // `next` now holds the old images: freed here, outside the lock.
+}
+
+void BufferPool::PatchReadOverlay(PageId id, const std::byte* src) {
+  assert(file_ != nullptr && file_->page_size() > 0);
+  auto image = std::make_shared<const std::vector<std::byte>>(
+      src, src + file_->page_size());
+  {
+    std::lock_guard<std::mutex> lock(overlay_mu_);
+    overlay_[id].swap(image);
+    overlay_attached_.store(true, std::memory_order_release);
+  }
+  // `image` now holds the replaced image (if any), freed outside the
+  // lock. Overlay first, frame second: a racing miss that copied the old
+  // image holds the shard latch until its frame is installed, so this
+  // refresh (which needs that latch) always lands after it.
+  RefreshResident(id, src);
+}
+
+size_t BufferPool::ReadOverlayPages() const {
+  std::lock_guard<std::mutex> lock(overlay_mu_);
+  return overlay_.size();
+}
+
+bool BufferPool::CopyFromOverlay(PageId id, std::byte* dst) const {
+  if (!overlay_attached_.load(std::memory_order_acquire)) return false;
+  std::shared_ptr<const std::vector<std::byte>> image;
+  {
+    std::lock_guard<std::mutex> lock(overlay_mu_);
+    auto it = overlay_.find(id);
+    if (it == overlay_.end()) return false;
+    image = it->second;
+  }
+  // Images are immutable once installed (a patch swaps in a new one), so
+  // the copy needs no lock.
+  std::memcpy(dst, image->data(), file_->page_size());
+  return true;
+}
+
 bool BufferPool::ReadPageCopy(PageId id, std::byte* dst, PinIo* io,
                               Status* status) {
   assert(file_ != nullptr && file_->page_size() > 0);
@@ -407,15 +453,11 @@ bool BufferPool::ReadForCapture(PageId id, std::byte* dst, bool* from_file) {
     if (from_file) *from_file = false;
     return true;
   }
-  if (from_file) *from_file = true;
-  if (auto overlay = OverlayRef()) {
-    auto oit = overlay->find(id);
-    if (oit != overlay->end()) {
-      std::memcpy(dst, oit->second.data(), file_->page_size());
-      if (from_file) *from_file = false;
-      return true;
-    }
+  if (CopyFromOverlay(id, dst)) {
+    if (from_file) *from_file = false;
+    return true;
   }
+  if (from_file) *from_file = true;
   // Not resident: the file copy is current (dirty frames only leave the
   // pool via write-back), so a direct read is exact.
   return file_->ReadPage(id, dst);

@@ -51,6 +51,7 @@
 #ifndef CLIPBB_STORAGE_BUFFER_POOL_H_
 #define CLIPBB_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -185,30 +186,39 @@ class BufferPool {
   /// The Wal is internally latched, so any shard may force the sync.
   void SetWal(Wal* wal) { wal_ = wal; }
 
-  /// Attaches (or swaps) the read-only redo overlay: a miss whose newest
-  /// committed contents live only in a sidecar WAL — which a read-only
-  /// open must not replay into the file — is served from the overlay
-  /// image instead of the file. Still counted as a miss/read: it is a
-  /// fault outside the pool either way.
+  /// Replaces the read overlay wholesale: a miss whose newest committed
+  /// contents live only in a sidecar WAL — which a read-only open must
+  /// not replay into the file — is served from the overlay image instead
+  /// of the file. Still counted as a miss/read: it is a fault outside the
+  /// pool either way. An empty map detaches the overlay; resident frames
+  /// are left alone (the caller refreshes any whose bytes change).
   ///
-  /// Swap rule (shared ownership): an attached map is IMMUTABLE. A caller
-  /// that wants to advance the overlay (the follower applier does, after
-  /// every applied commit window) builds a NEW map and swaps it in here;
-  /// in-flight reads that grabbed the old handle finish against the old
-  /// map, which the shared_ptr keeps alive until the last such read
-  /// drops it. Pass nullptr to detach.
-  void SetReadOverlay(std::shared_ptr<const RecoveredPageMap> overlay) {
-    std::lock_guard<std::mutex> lock(overlay_mu_);
-    overlay_ = std::move(overlay);
-  }
+  /// The pool owns the overlay, and it is patched in place one page at a
+  /// time (PatchReadOverlay) under `overlay_mu_`, a leaf lock a miss
+  /// holds only to look its page up and take a reference to the image
+  /// (the copy runs outside it). Installed images are immutable — a patch
+  /// swaps in a new one — so a read observes every page image whole, and
+  /// advancing the overlay costs O(pages patched), not O(overlay). With
+  /// no overlay attached the miss path takes no lock at all. Replaced
+  /// maps and images are freed after the lock is released.
+  void SetReadOverlay(RecoveredPageMap overlay);
+
+  /// Installs one page image into the read overlay (replacing any older
+  /// image of the page), then refreshes the page's resident frame, if
+  /// any, to the same bytes — so a later miss and a current hit agree.
+  /// The follower applier calls this per page of every applied commit
+  /// window, after capturing the window's pre-images. The caller must
+  /// guarantee no thread holds a raw pin on the page (the follower read
+  /// path only takes latched copies). Content mode only.
+  void PatchReadOverlay(PageId id, const std::byte* src);
+
+  /// Pages currently held by the read overlay.
+  size_t ReadOverlayPages() const;
 
   /// Installs fresh contents into a page's resident frame, if any (memcpy
-  /// of one page under the shard latch). The follower applier calls this
-  /// after swapping the overlay so an already-cached frame matches the new
-  /// overlay version; a non-resident page simply misses into the new
-  /// overlay later. The caller must guarantee no thread holds a raw pin on
-  /// the page (the follower read path only takes latched copies). Returns
-  /// whether a frame was refreshed. Content mode only.
+  /// of one page under the shard latch); a non-resident page simply
+  /// misses later. The caller must guarantee no thread holds a raw pin on
+  /// the page. Returns whether a frame was refreshed. Content mode only.
   bool RefreshResident(PageId id, const std::byte* src);
 
   /// Enables/disables the quarantine (bounded retries still apply). A
@@ -340,20 +350,25 @@ class BufferPool {
 
   uint64_t Sum(uint64_t Shard::*counter) const;
 
-  /// Current overlay handle; see the SetReadOverlay swap rule. Taken once
-  /// per miss/capture so the map a read consults cannot change mid-read.
-  std::shared_ptr<const RecoveredPageMap> OverlayRef() const {
-    std::lock_guard<std::mutex> lock(overlay_mu_);
-    return overlay_;
-  }
+  /// Copies the overlay image of `id` into `dst` (one page); false when
+  /// the overlay holds no image of it. Lock-free when no overlay is
+  /// attached; otherwise takes overlay_mu_ for the lookup only.
+  bool CopyFromOverlay(PageId id, std::byte* dst) const;
+
+  /// One immutable page image per overlaid page; a patch replaces the
+  /// pointer, so readers copy from an image no writer touches.
+  using OverlayMap =
+      std::unordered_map<PageId, std::shared_ptr<const std::vector<std::byte>>>;
 
   size_t capacity_;
   PageFile* file_ = nullptr;
   Wal* wal_ = nullptr;
-  /// Read-only redo images, shared with whoever published them (guarded
-  /// by overlay_mu_, a leaf lock — safe to take under a shard latch).
-  std::shared_ptr<const RecoveredPageMap> overlay_;
+  /// Read-only redo / follower page images (guarded by overlay_mu_, a
+  /// leaf lock — safe to take under a shard latch). `overlay_attached_`
+  /// mirrors !overlay_.empty() so misses skip the lock when it is false.
+  OverlayMap overlay_;
   mutable std::mutex overlay_mu_;
+  std::atomic<bool> overlay_attached_{false};
   bool quarantine_enabled_ = true;
   PageVerifier verifier_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -292,6 +292,7 @@ bool Wal::Recover(const std::string& wal_path, PageFile* file,
       }
       pending.clear();
       res.last_op_seq = h.op_seq;
+      res.last_commit_lsn = h.lsn;
       committed_end = off + sizeof h;
     } else {
       break;  // unknown record type: treat as tail corruption

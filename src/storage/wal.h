@@ -187,7 +187,10 @@ class Wal {
     uint64_t pages_replayed = 0;   // images actually written to the file
     uint64_t tail_discarded = 0;   // bytes of torn/uncommitted tail dropped
     uint64_t last_op_seq = 0;      // op seq of the last committed record
-    uint64_t max_lsn = 0;          // highest LSN seen in committed records
+    uint64_t last_commit_lsn = 0;  // LSN of the last commit record
+    /// Highest LSN of any valid record, committed or not (a pending tail
+    /// counts: LSNs handed out after recovery must not collide with it).
+    uint64_t max_lsn = 0;
   };
 
   /// Redo pass over the log at `wal_path`. Two modes:

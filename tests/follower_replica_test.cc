@@ -6,7 +6,13 @@
 // an in-memory reference tree built over exactly the committed prefix —
 // range results, visit-order I/O counters, and kNN distances — across
 // variants and D=2/3, with mid-stream Checkpoint() truncations forcing
-// the rebase path.
+// the rebase path. Mostly each checkpoint gets a lockstep beat of its
+// own, so the lockstep follower has applied every window before it
+// rebases (the O(1) fast path); a second follower that refreshes only at
+// checkpoints misses windows and takes the full page-file pass, and the
+// two must then agree byte for byte. One run checkpoints inside the
+// op's beat instead, so the lockstep follower itself takes the full path
+// under its long-lived pin.
 //
 // The kill-point sweep reuses the crash injection of wal_recovery_test:
 // the child dies mid-write (optionally leaving a torn page/record), the
@@ -25,6 +31,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,12 +147,32 @@ void GateQueries(PagedRTree<D>& follower, RTree<D>* ref, uint32_t seed) {
   }
 }
 
-/// Child body: one op per lockstep beat (commit, optionally checkpoint,
-/// signal, wait for the ack), clean close, exit 0.
+/// Checkpoint cadence of the lockstep harness: true after op `i` (0-based)
+/// when the child checkpoints there.
+bool CheckpointAfter(size_t i, int checkpoint_every) {
+  return checkpoint_every > 0 &&
+         (i + 1) % static_cast<size_t>(checkpoint_every) == 0;
+}
+
+/// Where a checkpoint falls in the lockstep harness.
+enum class CheckpointBeat {
+  /// A beat of its own after the op's beat: the follower has applied
+  /// every window first, so its rebase takes the fast path, and a second
+  /// follower that refreshes only at checkpoints takes the full path.
+  kOwn,
+  /// In the op's beat, right after its commit: the follower never sees
+  /// that window (the checkpoint truncates it), so its rebase takes the
+  /// full path under the long-lived pinned snapshot's exact check.
+  kWithCommit,
+};
+
+/// Child body: one lockstep beat per op (commit, signal, wait for the
+/// ack), plus one per checkpoint with CheckpointBeat::kOwn; clean close,
+/// exit 0.
 template <int D>
 void RunLockstepChild(const std::string& path, Variant variant,
-                      const Workload<D>& w, int checkpoint_every, int sig_fd,
-                      int ack_fd) {
+                      const Workload<D>& w, int checkpoint_every,
+                      CheckpointBeat cp_beat, int sig_fd, int ack_fd) {
   PagedRTree<D> paged;
   typename PagedRTree<D>::OpenOptions wopts;
   wopts.mode = PagedRTree<D>::OpenMode::kReadWrite;
@@ -154,21 +182,180 @@ void RunLockstepChild(const std::string& path, Variant variant,
     ::_exit(3);
   }
   char beat = 0;
+  auto lockstep = [&] {
+    if (::write(sig_fd, &beat, 1) != 1) ::_exit(6);
+    if (::read(ack_fd, &beat, 1) != 1) ::_exit(7);
+  };
   for (size_t i = 0; i < w.ops.size(); ++i) {
     const Op<D>& op = w.ops[i];
     if (op.is_insert ? !paged.Insert(op.rect, op.id)
                      : !paged.Delete(op.rect, op.id)) {
       ::_exit(4);
     }
-    if (checkpoint_every > 0 &&
-        (i + 1) % static_cast<size_t>(checkpoint_every) == 0) {
-      if (!paged.Checkpoint()) ::_exit(5);
+    const bool cp = CheckpointAfter(i, checkpoint_every);
+    if (cp && cp_beat == CheckpointBeat::kWithCommit && !paged.Checkpoint()) {
+      ::_exit(5);
     }
-    if (::write(sig_fd, &beat, 1) != 1) ::_exit(6);
-    if (::read(ack_fd, &beat, 1) != 1) ::_exit(7);
+    lockstep();
+    if (cp && cp_beat == CheckpointBeat::kOwn) {
+      if (!paged.Checkpoint()) ::_exit(5);
+      lockstep();
+    }
   }
   if (!paged.Close()) ::_exit(8);
   ::_exit(0);
+}
+
+/// Refresh that must succeed and must never move the applied LSN back.
+template <int D>
+void RefreshMonotone(PagedRTree<D>& follower) {
+  const uint64_t before = follower.replica_applied_lsn();
+  ASSERT_TRUE(follower.Refresh());
+  ASSERT_GE(follower.replica_applied_lsn(), before)
+      << "replica_applied_lsn went backwards";
+}
+
+template <int D>
+bool SameClipRun(std::span<const core::ClipPoint<D>> a,
+                 std::span<const core::ClipPoint<D>> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    // Field-wise: ClipPoint has padding after the mask byte.
+    if (a[i].mask != b[i].mask || a[i].score != b[i].score ||
+        !(a[i].coord == b[i].coord)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Byte-for-byte replica state equality of two followers of one file:
+/// superblock, committed op, cached shape, every section page as a
+/// reader copies it out of the pool, and every clip run.
+template <int D>
+void ExpectSameReplicaState(PagedRTree<D>& a, PagedRTree<D>& b) {
+  ASSERT_EQ(std::memcmp(&a.superblock(), &b.superblock(),
+                        sizeof(Superblock)),
+            0);
+  ASSERT_EQ(a.last_committed_op(), b.last_committed_op());
+  ASSERT_EQ(a.Height(), b.Height());
+  ASSERT_TRUE(a.bounds() == b.bounds());
+  const Superblock& sb = a.superblock();
+  std::vector<std::byte> pa(sb.file_page_size), pb(sb.file_page_size);
+  for (uint64_t p = 0; p < sb.num_section_pages; ++p) {
+    const storage::PageId fid = 1 + static_cast<storage::PageId>(p);
+    ASSERT_TRUE(a.pool().ReadPageCopy(fid, pa.data())) << "page " << fid;
+    ASSERT_TRUE(b.pool().ReadPageCopy(fid, pb.data())) << "page " << fid;
+    ASSERT_EQ(pa, pb) << "page " << fid;
+  }
+  std::map<core::NodeId, std::span<const core::ClipPoint<D>>> runs;
+  a.clip_index().ForEach(
+      [&](core::NodeId nid, std::span<const core::ClipPoint<D>> run) {
+        runs.emplace(nid, run);
+      });
+  size_t b_runs = 0;
+  b.clip_index().ForEach(
+      [&](core::NodeId nid, std::span<const core::ClipPoint<D>> run) {
+        ++b_runs;
+        auto it = runs.find(nid);
+        ASSERT_TRUE(it != runs.end()) << "clip run of node " << nid;
+        EXPECT_TRUE(SameClipRun<D>(it->second, run)) << "node " << nid;
+      });
+  ASSERT_EQ(b_runs, runs.size());
+}
+
+/// Range answers (outcome, ids and leaf accesses) of a follower's
+/// snapshot.
+struct SnapshotAnswers {
+  std::vector<storage::ErrorKind> kinds;
+  std::vector<std::vector<ObjectId>> ids;
+  std::vector<uint64_t> leaf_accesses;
+};
+
+template <int D>
+SnapshotAnswers AnswerAll(PagedRTree<D>& follower,
+                          const std::vector<geom::Rect<D>>& queries,
+                          const typename PagedRTree<D>::SnapshotT* snap) {
+  SnapshotAnswers out;
+  for (const geom::Rect<D>& q : queries) {
+    std::vector<ObjectId> ids;
+    storage::IoStats io;
+    storage::Status st;
+    follower.RangeQuery(q, &ids, &io, nullptr, &st, snap);
+    out.kinds.push_back(st.kind);
+    out.ids.push_back(std::move(ids));
+    out.leaf_accesses.push_back(io.leaf_accesses);
+  }
+  return out;
+}
+
+/// `b` must answer every query exactly like `a`, both without error.
+/// With `b_may_be_stale`, a query of `b` may instead refuse with
+/// kStaleSnapshot — the follower contract for a pin whose pre-image was
+/// lost — but whatever it does answer must match.
+void ExpectSameAnswers(const SnapshotAnswers& a, const SnapshotAnswers& b,
+                       const char* what, bool b_may_be_stale = false) {
+  ASSERT_EQ(a.ids.size(), b.ids.size()) << what;
+  const auto ok = storage::ErrorKind::kNone;
+  for (size_t q = 0; q < a.ids.size(); ++q) {
+    if (b_may_be_stale && b.kinds[q] == storage::ErrorKind::kStaleSnapshot) {
+      continue;
+    }
+    ASSERT_EQ(b.kinds[q], ok) << what << ", query " << q;
+    ASSERT_EQ(a.kinds[q], ok) << what << ", query " << q;
+    ASSERT_EQ(a.ids[q], b.ids[q]) << what << ", query " << q;
+    ASSERT_EQ(a.leaf_accesses[q], b.leaf_accesses[q]) << what << ", query "
+                                                      << q;
+  }
+}
+
+/// The checkpoint beat. `follower` applied every window before the
+/// checkpoint, so its rebase must take the fast path; `catchup` has not
+/// refreshed since the previous checkpoint, so its rebase must take the
+/// full page-file pass. Afterwards the two must hold the same state byte
+/// for byte and answer like the reference. A snapshot pinned on each
+/// just before the rebase keeps its answers: exactly on the caught-up
+/// follower, and on the lagging one wherever it answers at all (the
+/// checkpoint already overwrote base pages it never captured, so some
+/// of its reads legitimately refuse with kStaleSnapshot).
+template <int D>
+void RebaseBothPaths(PagedRTree<D>& follower, PagedRTree<D>& catchup,
+                     RTree<D>* ref, uint32_t seed) {
+  Rng rng(seed);
+  std::vector<geom::Rect<D>> queries;
+  for (int q = 0; q < 4; ++q) queries.push_back(RandomRect<D>(rng, 0.3));
+  auto fast_pin = follower.PinSnapshot();
+  auto full_pin = catchup.PinSnapshot();
+  const SnapshotAnswers fast_before = AnswerAll(follower, queries, &fast_pin);
+  const SnapshotAnswers full_before = AnswerAll(catchup, queries, &full_pin);
+  const uint64_t fast0 = follower.replica_fast_rebases();
+  const uint64_t rebases0 = follower.replica_rebases();
+  const uint64_t op = follower.last_committed_op();
+  RefreshMonotone(follower);
+  ASSERT_EQ(follower.replica_rebases(), rebases0 + 1);
+  ASSERT_EQ(follower.replica_fast_rebases(), fast0 + 1)
+      << "a caught-up follower took the full rebase";
+  ASSERT_EQ(follower.last_committed_op(), op);
+  const uint64_t catchup_fast0 = catchup.replica_fast_rebases();
+  RefreshMonotone(catchup);
+  ASSERT_GE(catchup.replica_rebases(), 1u);
+  ASSERT_EQ(catchup.replica_fast_rebases(), catchup_fast0)
+      << "a follower that missed windows took the fast rebase";
+  // The page file is authoritative past a checkpoint: no overlay left.
+  EXPECT_EQ(follower.pool().ReadOverlayPages(), 0u);
+  EXPECT_EQ(catchup.pool().ReadOverlayPages(), 0u);
+
+  ExpectSameReplicaState(follower, catchup);
+  if (::testing::Test::HasFatalFailure()) return;
+  ExpectSameAnswers(fast_before, AnswerAll(follower, queries, &fast_pin),
+                    "fast-path pin after rebase");
+  ExpectSameAnswers(full_before, AnswerAll(catchup, queries, &full_pin),
+                    "full-path pin after rebase", /*b_may_be_stale=*/true);
+  // A checkpoint changes no content: the pre-checkpoint pin answers like
+  // the full-path follower's current state.
+  ExpectSameAnswers(fast_before, AnswerAll(catchup, queries, nullptr),
+                    "fast-path pin vs full-path current");
+  GateQueries<D>(catchup, ref, seed + 1);
 }
 
 /// Lockstep drive: gate the follower at every commit boundary while a
@@ -176,7 +363,8 @@ void RunLockstepChild(const std::string& path, Variant variant,
 /// bit-for-bit no matter how far the replica advances past it.
 template <int D>
 void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
-                    int checkpoint_every) {
+                    int checkpoint_every,
+                    CheckpointBeat cp_beat = CheckpointBeat::kOwn) {
   const Workload<D> w = MakeWorkload<D>(n_items, n_ops, seed);
   auto bulk = BuildTree<D>(variant, w.items, Domain<D>());
   bulk->EnableClipping(core::ClipConfig<D>::Sta());
@@ -185,11 +373,12 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
                           std::to_string(checkpoint_every)));
   ASSERT_TRUE(WritePagedTree<D>(*bulk, file.path));
 
-  PagedRTree<D> follower;
+  PagedRTree<D> follower, catchup;
   typename PagedRTree<D>::OpenOptions fopts;
   fopts.mode = PagedRTree<D>::OpenMode::kFollow;
   ASSERT_TRUE(follower.Open(file.path, fopts));
   ASSERT_TRUE(follower.following());
+  ASSERT_TRUE(catchup.Open(file.path, fopts));
 
   int sig[2], ack[2];
   ASSERT_EQ(::pipe(sig), 0);
@@ -199,8 +388,8 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
   if (pid == 0) {
     ::close(sig[0]);
     ::close(ack[1]);
-    RunLockstepChild<D>(file.path, variant, w, checkpoint_every, sig[1],
-                        ack[0]);  // never returns
+    RunLockstepChild<D>(file.path, variant, w, checkpoint_every, cp_beat,
+                        sig[1], ack[0]);  // never returns
   }
   ::close(sig[1]);
   ::close(ack[0]);
@@ -219,8 +408,18 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
     SCOPED_TRACE(::testing::Message()
                  << VariantName(variant) << " D=" << D << " op " << i + 1);
     ASSERT_EQ(::read(sig[0], &beat, 1), 1) << "child died before op " << i;
-    ASSERT_TRUE(follower.Refresh());
+    const bool cp = CheckpointAfter(i, checkpoint_every);
+    const uint64_t full0 =
+        follower.replica_rebases() - follower.replica_fast_rebases();
+    RefreshMonotone(follower);
+    if (::testing::Test::HasFatalFailure()) break;
     ASSERT_EQ(follower.last_committed_op(), i + 1);
+    if (cp && cp_beat == CheckpointBeat::kWithCommit) {
+      ASSERT_EQ(follower.replica_rebases() - follower.replica_fast_rebases(),
+                full0 + 1)
+          << "a follower that missed the truncated window took the fast "
+             "rebase";
+    }
     const Op<D>& op = w.ops[i];
     if (op.is_insert) {
       ref->Insert(op.rect, op.id);
@@ -245,11 +444,23 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
                                       << i + 1;
     }
     ASSERT_EQ(::write(ack[1], &beat, 1), 1);
+    if (cp && cp_beat == CheckpointBeat::kOwn) {
+      ASSERT_EQ(::read(sig[0], &beat, 1), 1)
+          << "child died in the checkpoint after op " << i + 1;
+      RebaseBothPaths<D>(follower, catchup, ref.get(),
+                         seed + 300 + static_cast<uint32_t>(i));
+      if (::testing::Test::HasFatalFailure()) break;
+      ASSERT_EQ(::write(ack[1], &beat, 1), 1);
+    }
   }
   pinned.Release();
   EXPECT_GT(follower.replica_windows_applied(), 0u);
+  const bool both_paths =
+      checkpoint_every > 0 && cp_beat == CheckpointBeat::kOwn;
   if (checkpoint_every > 0) EXPECT_GE(follower.replica_rebases(), 1u);
+  if (both_paths) EXPECT_GE(catchup.replica_rebases(), 1u);
   EXPECT_FALSE(follower.io_error());
+  EXPECT_FALSE(catchup.io_error());
   // Close the pipe ends BEFORE reaping: if a gate failure broke out of
   // the loop mid-beat, the child is blocked reading the ack — EOF sends
   // it to its error exit instead of deadlocking the wait below.
@@ -264,7 +475,17 @@ void LockstepFollow(Variant variant, int n_items, int n_ops, uint32_t seed,
               static_cast<unsigned long long>(
                   follower.replica_windows_applied()),
               static_cast<unsigned long long>(follower.replica_rebases()));
+  if (both_paths) {
+    // ... and this one that both rebase paths ran and agreed.
+    std::printf("rebase_paths_agree fast=%llu full=%llu\n",
+                static_cast<unsigned long long>(
+                    follower.replica_fast_rebases()),
+                static_cast<unsigned long long>(
+                    catchup.replica_rebases() -
+                    catchup.replica_fast_rebases()));
+  }
   EXPECT_TRUE(follower.Close());
+  EXPECT_TRUE(catchup.Close());
 }
 
 TEST(FollowerReplica, Lockstep2dNoCheckpoint) {
@@ -272,9 +493,11 @@ TEST(FollowerReplica, Lockstep2dNoCheckpoint) {
 }
 
 TEST(FollowerReplica, Lockstep2dCheckpointRotation) {
-  // Checkpoints every 5 ops: the follower crosses several generation
-  // bumps and must rebase through each without dropping lockstep parity.
-  LockstepFollow<2>(Variant::kRStar, 1200, 25, 603, /*checkpoint_every=*/5);
+  // Checkpoints every 5 ops, each in its op's beat: the follower crosses
+  // several generation bumps having missed the truncated window, so it
+  // takes the full rebase through each, with the long-lived pin exact.
+  LockstepFollow<2>(Variant::kRStar, 1200, 25, 603, /*checkpoint_every=*/5,
+                    CheckpointBeat::kWithCommit);
 }
 
 TEST(FollowerReplica, Lockstep3dCheckpointRotation) {
@@ -282,10 +505,13 @@ TEST(FollowerReplica, Lockstep3dCheckpointRotation) {
 }
 
 TEST(FollowerReplica, LockstepAllVariantsCoarse) {
+  // Every checkpoint beat rebases a caught-up follower (fast path) and a
+  // follower that missed the windows since the last checkpoint (full
+  // path), then compares them byte for byte (RebaseBothPaths).
   for (Variant v : kAllVariants) {
     LockstepFollow<2>(v, 600, 12, 607, /*checkpoint_every=*/4);
     if (::testing::Test::HasFatalFailure()) return;
-    LockstepFollow<3>(v, 500, 10, 609, /*checkpoint_every=*/0);
+    LockstepFollow<3>(v, 500, 10, 609, /*checkpoint_every=*/4);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -661,6 +887,103 @@ TEST(FollowerReplica, StalePinFailsLoudlyThenRebaseRecovers) {
   EXPECT_FALSE(follower.io_error());
   pinned.Release();
   EXPECT_TRUE(follower.Close());
+}
+
+/// A reader-forced WAL sync can make a transaction's records durable
+/// before its commit record. A follower opened on such a log has applied
+/// only the committed prefix, so when the transaction then commits and
+/// the writer checkpoints, the follower has missed it: its rebase must
+/// re-read the file (full path) rather than keep its older pages, clip
+/// runs and shape. The log's pending tail here ends in the superblock
+/// image whose LSN the checkpointed superblock keeps — a follower that
+/// counted pending LSNs as applied would take the fast path.
+TEST(FollowerReplica, PendingTailAtOpenTakesFullRebase) {
+  constexpr int D = 2;
+  const Workload<D> w = MakeWorkload<D>(800, 6, 631);
+  auto bulk = BuildTree<D>(Variant::kRStar, w.items, Domain<D>());
+  bulk->EnableClipping(core::ClipConfig<D>::Sta());
+  FileGuard file(TempPath("pending"));
+  ASSERT_TRUE(WritePagedTree<D>(*bulk, file.path));
+  const std::string wal = WalPathFor(file.path);
+  auto ref = BuildTree<D>(Variant::kRStar, w.items, Domain<D>());
+  ref->EnableClipping(core::ClipConfig<D>::Sta());
+
+  PagedRTree<D> writer;
+  typename PagedRTree<D>::OpenOptions wopts;
+  wopts.mode = PagedRTree<D>::OpenMode::kReadWrite;
+  wopts.commit_every = 1;
+  ASSERT_TRUE(writer.Open(file.path, wopts,
+                          MakeRTree<D>(Variant::kRStar, Domain<D>())));
+  for (const Op<D>& op : w.ops) {
+    ASSERT_TRUE(op.is_insert ? writer.Insert(op.rect, op.id)
+                             : writer.Delete(op.rect, op.id));
+    if (op.is_insert) {
+      ref->Insert(op.rect, op.id);
+    } else {
+      ASSERT_TRUE(ref->Delete(op.rect, op.id));
+    }
+  }
+
+  // The log as the writer left it, last record the final commit.
+  std::vector<char> log;
+  {
+    std::FILE* f = std::fopen(wal.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+      log.insert(log.end(), buf, buf + n);
+    }
+    std::fclose(f);
+  }
+  storage::WalRecordHeader commit;
+  ASSERT_GT(log.size(), sizeof commit);
+  std::memcpy(&commit, log.data() + log.size() - sizeof commit,
+              sizeof commit);
+  ASSERT_EQ(commit.type, storage::Wal::kCommit);
+  ASSERT_EQ(commit.op_seq, w.ops.size());
+
+  // Open the follower while the last transaction's commit record is not
+  // yet in the log: it recovers the committed prefix only.
+  ASSERT_EQ(::truncate(wal.c_str(),
+                       static_cast<off_t>(log.size() - sizeof commit)),
+            0);
+  PagedRTree<D> follower;
+  typename PagedRTree<D>::OpenOptions fopts;
+  fopts.mode = PagedRTree<D>::OpenMode::kFollow;
+  ASSERT_TRUE(follower.Open(file.path, fopts));
+  ASSERT_EQ(follower.last_committed_op(), w.ops.size() - 1);
+  EXPECT_LT(follower.replica_applied_lsn(), commit.lsn);
+  // Make every page resident, so pages a wrong rebase failed to re-read
+  // would keep their old bytes.
+  storage::Status st;
+  follower.RangeQuery(Domain<D>(), nullptr, nullptr, nullptr, &st);
+  ASSERT_TRUE(st.ok()) << st.kind_name();
+
+  // The commit lands, then the writer checkpoints before the follower
+  // ever refreshes.
+  {
+    std::FILE* f = std::fopen(wal.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+    std::fclose(f);
+  }
+  ASSERT_TRUE(writer.Checkpoint());
+
+  ASSERT_TRUE(follower.Refresh());
+  EXPECT_EQ(follower.replica_rebases(), 1u);
+  EXPECT_EQ(follower.replica_fast_rebases(), 0u)
+      << "a follower that never saw the last commit took the fast rebase";
+  EXPECT_EQ(follower.last_committed_op(), w.ops.size());
+  GateQueries<D>(follower, ref.get(), 633);
+  if (::testing::Test::HasFatalFailure()) return;
+  // Byte for byte what a follower opened on the checkpointed file sees.
+  PagedRTree<D> fresh;
+  ASSERT_TRUE(fresh.Open(file.path, fopts));
+  ExpectSameReplicaState(follower, fresh);
+  EXPECT_TRUE(fresh.Close());
+  EXPECT_TRUE(follower.Close());
+  EXPECT_TRUE(writer.Close());
 }
 
 }  // namespace

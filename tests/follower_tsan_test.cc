@@ -9,16 +9,20 @@
 // test itself only asserts what is stable under the race — queries
 // either answer or report kStaleSnapshot, nothing latches io_error, and
 // once the writer quiesces one Refresh converges the follower to exact
-// parity.
+// parity. A pool-level case races ReadPageCopy against the in-place
+// overlay patches the applier makes.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "rtree/factory.h"
 #include "rtree/paged_rtree.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_file.h"
 #include "test_util.h"
 
 namespace clipbb::rtree {
@@ -155,6 +159,63 @@ TEST(FollowerTsan, ConcurrentRefreshQueriesAndCheckpoints) {
   EXPECT_FALSE(follower.io_error());
   EXPECT_TRUE(follower.Close());
   EXPECT_TRUE(writer.Close());
+}
+
+/// The applier patches overlay pages in place while readers copy them
+/// out: every copy must be one whole image (each image is a single byte
+/// value repeated, so a torn mix shows), a page's images must never go
+/// backwards for one reader, and once patching stops every page reads
+/// its last image — no stale frame survives a refresh.
+TEST(FollowerTsan, ReadPageCopyRacesOverlayPatches) {
+  constexpr uint32_t kPage = 512;
+  constexpr int kPages = 24;
+  constexpr int kRounds = 200;
+  TempFileGuard file(TempPagePath("overlay_race"));
+  storage::PageFile pf;
+  ASSERT_TRUE(pf.Open(file.path, /*create=*/true, kPage));
+  for (int p = 0; p < kPages; ++p) {
+    const std::vector<std::byte> zero(kPage, std::byte{0});
+    ASSERT_TRUE(pf.WritePage(p, zero.data()));
+  }
+  // Fewer frames than pages, in two shards: copies mix hits on refreshed
+  // frames with misses served from the overlay.
+  storage::BufferPool pool(8, &pf, 2);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&pool, &stop, t] {
+      std::vector<std::byte> buf(kPage);
+      std::vector<int> last_seen(kPages, 0);
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const int p = (i * 7 + t) % kPages;
+        storage::Status st;
+        ASSERT_TRUE(pool.ReadPageCopy(p, buf.data(), nullptr, &st))
+            << st.kind_name();
+        const std::byte v = buf[0];
+        for (uint32_t b = 1; b < kPage; ++b) {
+          ASSERT_EQ(buf[b], v) << "torn copy of page " << p;
+        }
+        const int round = static_cast<int>(v);
+        ASSERT_GE(round, last_seen[p]) << "page " << p << " went back";
+        last_seen[p] = round;
+      }
+    });
+  }
+  std::vector<std::byte> img(kPage);
+  for (int round = 1; round <= kRounds; ++round) {
+    std::memset(img.data(), round, kPage);
+    for (int p = 0; p < kPages; ++p) pool.PatchReadOverlay(p, img.data());
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& r : readers) r.join();
+
+  std::vector<std::byte> buf(kPage);
+  for (int p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(pool.ReadPageCopy(p, buf.data()));
+    EXPECT_EQ(buf[0], static_cast<std::byte>(kRounds)) << "page " << p;
+  }
+  EXPECT_EQ(pool.ReadOverlayPages(), static_cast<size_t>(kPages));
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the page store, the page file, and the LRU buffer pool (both
 // the residency-only mode and the content-holding pin/unpin mode with
 // dirty tracking and write-back eviction), including the lock-striped
-// sharding, the all-pinned overflow high-water accounting, and the
-// exactly-once-read guarantee under concurrent pins.
+// sharding, the all-pinned overflow high-water accounting, the
+// exactly-once-read guarantee under concurrent pins, and the in-place
+// read overlay (patched pages served on a miss, resident frames
+// refreshed).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -491,6 +493,71 @@ TEST_F(ContentPoolTest, CorruptStructureVerdictFailsFast) {
   EXPECT_EQ(status.kind, ErrorKind::kCorruptStructure);
   EXPECT_EQ(io.read_retries, 0u);
   EXPECT_EQ(pool.quarantined_pages(), 1u);
+}
+
+TEST_F(ContentPoolTest, PatchedOverlayPageServedOnMissAndRepatched) {
+  BufferPool pool(2, &file_);
+  const std::vector<std::byte> v1(kPage, std::byte{0xA1});
+  const std::vector<std::byte> v2(kPage, std::byte{0xA2});
+  pool.PatchReadOverlay(3, v1.data());
+  EXPECT_EQ(pool.ReadOverlayPages(), 1u);
+  EXPECT_FALSE(pool.Resident(3));  // patching installs no frame
+
+  // A miss on a patched page copies the overlay image, not the file.
+  BufferPool::PinIo io;
+  const std::byte* f = pool.Pin(3, &io);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(std::memcmp(f, v1.data(), kPage), 0);
+  pool.Unpin(3);
+  EXPECT_EQ(io.reads, 1u);       // still a miss: a fault outside the pool
+  EXPECT_EQ(file_.reads(), 0u);  // ...but the file was never touched
+
+  // Evict page 3, re-patch it: the next miss serves the newer image, and
+  // the overlay still holds one image of the page.
+  for (int64_t p = 4; p < 6; ++p) {
+    ASSERT_NE(pool.Pin(p), nullptr);
+    pool.Unpin(p);
+  }
+  ASSERT_FALSE(pool.Resident(3));
+  pool.PatchReadOverlay(3, v2.data());
+  EXPECT_EQ(pool.ReadOverlayPages(), 1u);
+  std::vector<std::byte> out(kPage);
+  ASSERT_TRUE(pool.ReadPageCopy(3, out.data()));
+  EXPECT_EQ(out, v2);
+  bool from_file = true;
+  ASSERT_TRUE(pool.ReadForCapture(3, out.data(), &from_file));
+  EXPECT_EQ(out, v2);
+  EXPECT_FALSE(from_file);
+
+  // Unpatched pages still come from the file; detaching the overlay
+  // sends the patched page back there too.
+  ASSERT_TRUE(pool.ReadPageCopy(7, out.data()));
+  EXPECT_EQ(out, MarkedPage(7));
+  pool.SetReadOverlay({});
+  EXPECT_EQ(pool.ReadOverlayPages(), 0u);
+  for (int64_t p = 4; p < 6; ++p) {  // push page 3 out again
+    ASSERT_NE(pool.Pin(p), nullptr);
+    pool.Unpin(p);
+  }
+  ASSERT_FALSE(pool.Resident(3));
+  ASSERT_TRUE(pool.ReadPageCopy(3, out.data()));
+  EXPECT_EQ(out, MarkedPage(3));
+}
+
+TEST_F(ContentPoolTest, PatchRefreshesResidentFrame) {
+  BufferPool pool(4, &file_);
+  std::vector<std::byte> out(kPage);
+  ASSERT_TRUE(pool.ReadPageCopy(2, out.data()));  // page 2 now resident
+  EXPECT_EQ(out, MarkedPage(2));
+  const uint64_t reads = file_.reads();
+  const std::vector<std::byte> img(kPage, std::byte{0xB7});
+  pool.PatchReadOverlay(2, img.data());
+  ASSERT_TRUE(pool.Resident(2));
+  const uint64_t hits = pool.hits();
+  ASSERT_TRUE(pool.ReadPageCopy(2, out.data()));
+  EXPECT_EQ(out, img);  // the hit sees the patch: the frame was refreshed
+  EXPECT_EQ(pool.hits(), hits + 1);
+  EXPECT_EQ(file_.reads(), reads);
 }
 
 TEST(IoStats, Accumulate) {

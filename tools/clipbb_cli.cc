@@ -232,12 +232,15 @@ int CmdPagedQuery(const char* idx_path, bool stats, bool follow, int argc,
       std::fprintf(stderr, "refresh failed: %s\n", rstatus.kind_name());
       return 1;
     }
+    const uint64_t fast = tree.replica_fast_rebases();
     std::printf("following %s: applied lsn %llu, %llu windows applied, "
-                "%llu rebases\n",
+                "%llu rebases (%llu fast, %llu full)\n",
                 idx_path,
                 static_cast<unsigned long long>(tree.replica_applied_lsn()),
                 static_cast<unsigned long long>(tree.replica_windows_applied()),
-                static_cast<unsigned long long>(tree.replica_rebases()));
+                static_cast<unsigned long long>(tree.replica_rebases()),
+                static_cast<unsigned long long>(fast),
+                static_cast<unsigned long long>(tree.replica_rebases() - fast));
   }
   geom::Rect<D> q;
   for (int i = 0; i < D; ++i) q.lo[i] = std::atof(argv[i]);
