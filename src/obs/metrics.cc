@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
+#include <vector>
 
 #include "obs/clock.h"
 
@@ -102,32 +104,44 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 std::string MetricsRegistry::RenderText() const {
   const MetricsSnapshot snap = Snapshot();
   std::string out;
-  for (const auto& [name, v] : snap.counters) {
-    std::string base, labels;
-    SplitName(name, &base, &labels);
-    out += "# TYPE " + base + " counter\n";
+  // One `# TYPE` line per metric family, followed by all of its series.
+  // Series are grouped by base name: sorting by full name does not keep a
+  // family together (`a{x="1"}` sorts after `a_b`).
+  auto render = [&out](const auto& series, const char* type,
+                       const char* family_suffix, auto&& samples) {
+    std::map<std::string, std::vector<size_t>> families;
+    for (size_t i = 0; i < series.size(); ++i) {
+      std::string base, labels;
+      SplitName(series[i].first, &base, &labels);
+      families[base].push_back(i);
+    }
+    for (const auto& [base, members] : families) {
+      out += "# TYPE " + base + family_suffix + " " + type + "\n";
+      for (size_t i : members) samples(series[i].first, series[i].second);
+    }
+  };
+  auto plain = [&out](const std::string& name, uint64_t v) {
     AppendSample(&out, name, v);
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    std::string base, labels;
-    SplitName(name, &base, &labels);
-    out += "# TYPE " + base + " gauge\n";
-    AppendSample(&out, name, v);
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    std::string base, labels;
-    SplitName(name, &base, &labels);
-    out += "# TYPE " + base + " summary\n";
-    AppendSample(&out, WithLabel(name, "quantile=\"0.5\""),
-                 h.Percentile(0.50));
-    AppendSample(&out, WithLabel(name, "quantile=\"0.95\""),
-                 h.Percentile(0.95));
-    AppendSample(&out, WithLabel(name, "quantile=\"0.99\""),
-                 h.Percentile(0.99));
-    AppendSample(&out, WithSuffix(name, "_count"), h.count());
-    AppendSample(&out, WithSuffix(name, "_sum"), h.sum());
-    AppendSample(&out, WithSuffix(name, "_max"), h.max());
-  }
+  };
+  render(snap.counters, "counter", "", plain);
+  render(snap.gauges, "gauge", "", plain);
+  render(snap.histograms, "summary", "",
+         [&out](const std::string& name, const Histogram& h) {
+           AppendSample(&out, WithLabel(name, "quantile=\"0.5\""),
+                        h.Percentile(0.50));
+           AppendSample(&out, WithLabel(name, "quantile=\"0.95\""),
+                        h.Percentile(0.95));
+           AppendSample(&out, WithLabel(name, "quantile=\"0.99\""),
+                        h.Percentile(0.99));
+           AppendSample(&out, WithSuffix(name, "_count"), h.count());
+           AppendSample(&out, WithSuffix(name, "_sum"), h.sum());
+         });
+  // A summary family holds only quantiles, _count and _sum; each maximum
+  // is a gauge family of its own.
+  render(snap.histograms, "gauge", "_max",
+         [&out](const std::string& name, const Histogram& h) {
+           AppendSample(&out, WithSuffix(name, "_max"), h.max());
+         });
   return out;
 }
 

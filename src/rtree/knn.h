@@ -1,31 +1,19 @@
-// k-nearest-neighbour search over (clipped) R-trees — best-first traversal
-// (Hjaltason & Samet) whose node ordering uses the CBB-aware MINDIST when
-// the tree is clipped. Results are identical to the classic algorithm; the
-// tighter bound only prunes nodes earlier.
+// k-nearest-neighbour search over (clipped) in-memory R-trees. The
+// best-first traversal itself — with the CBB-aware MINDIST when the tree
+// is clipped — lives in rtree/traverse.h and is the same body the paged
+// engine runs; this header keeps the free-function entry point.
 //
-// The core is sink-driven: KnnSearch emits each KnnNeighbor<D> in
-// ascending distance order the moment it is popped from the frontier, so
-// callers stream results into their own storage (a ResultSink, a fixed
-// buffer, a callback) without an intermediate vector. The by-value
-// KnnQuery wrapper survives as a deprecated shim for one PR.
+// Results stream: each KnnNeighbor<D> is emitted in ascending distance
+// order the moment it is popped from the frontier, so callers fill their
+// own storage (a ResultSink, a fixed buffer, a callback) without an
+// intermediate vector. SpatialEngine::Execute with QuerySpec::Knn and a
+// KnnHeapSink (rtree/query_api.h) is the engine-independent form.
 #ifndef CLIPBB_RTREE_KNN_H_
 #define CLIPBB_RTREE_KNN_H_
 
-#include <queue>
-#include <vector>
-
-#include "core/mindist.h"
 #include "rtree/rtree.h"
 
 namespace clipbb::rtree {
-
-/// One kNN result: object id + squared distance from the query point.
-/// The single kNN result type of both engines (in-memory and paged).
-template <int D>
-struct KnnNeighbor {
-  ObjectId id = kInvalidPage;
-  double dist2 = 0.0;
-};
 
 /// k nearest objects to `q` by (squared) rect distance. Invokes
 /// `emit(const KnnNeighbor<D>&)` once per neighbour, ascending; returns
@@ -34,80 +22,7 @@ struct KnnNeighbor {
 template <int D, typename Emit>
 size_t KnnSearch(const RTree<D>& tree, const geom::Vec<D>& q, int k,
                  Emit&& emit, storage::IoStats* io = nullptr) {
-  if (k <= 0) return 0;
-  size_t found = 0;
-
-  struct QueueItem {
-    double dist2;
-    bool is_object;
-    int64_t id;  // page id or object id
-    bool operator>(const QueueItem& o) const { return dist2 > o.dist2; }
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      frontier;
-  frontier.push({0.0, false, tree.root()});
-
-  while (!frontier.empty()) {
-    const QueueItem item = frontier.top();
-    frontier.pop();
-    if (item.is_object) {
-      emit(KnnNeighbor<D>{item.id, item.dist2});
-      if (static_cast<int>(++found) == k) break;
-      continue;
-    }
-    const Node<D>& n = tree.NodeAt(item.id);
-    if (io) {
-      if (n.IsLeaf()) {
-        ++io->leaf_accesses;
-      } else {
-        ++io->internal_accesses;
-      }
-    }
-    if (tree.AccelFresh() && (n.IsLeaf() || !tree.clipping_enabled())) {
-      // SoA fast path: per-entry distances from the contiguous coordinate
-      // pools instead of chasing the AoS entry array. Clipped internal
-      // nodes need the full rect + clip list anyway, so they fall through
-      // to the scalar loop below.
-      const SoaNodeView<D> v = tree.soa().NodeView(item.id);
-      const bool leaf = n.IsLeaf();
-      for (uint32_t i = 0; i < v.n; ++i) {
-        frontier.push({SoaMinDist2<D>(v, i, q), leaf, v.id[i]});
-      }
-      continue;
-    }
-    for (const Entry<D>& e : n.entries) {
-      if (n.IsLeaf()) {
-        frontier.push({core::MinDist2<D>(q, e.rect), true, e.id});
-      } else {
-        double bound;
-        if (tree.clipping_enabled()) {
-          if (io) ++io->clip_accesses;
-          bound = core::CbbMinDist2<D>(q, e.rect,
-                                       tree.clip_index().Get(e.id));
-        } else {
-          bound = core::MinDist2<D>(q, e.rect);
-        }
-        frontier.push({bound, false, e.id});
-      }
-    }
-  }
-  return found;
-}
-
-/// k nearest objects to `q`, ascending, as a by-value vector.
-template <int D>
-[[deprecated(
-    "use SpatialEngine::Execute with QuerySpec::Knn and a KnnHeapSink "
-    "(rtree/query_api.h), or the sink-driven KnnSearch")]]
-std::vector<KnnNeighbor<D>> KnnQuery(const RTree<D>& tree,
-                                     const geom::Vec<D>& q, int k,
-                                     storage::IoStats* io = nullptr) {
-  std::vector<KnnNeighbor<D>> result;
-  KnnSearch<D>(tree, q, k,
-               [&result](const KnnNeighbor<D>& n) { result.push_back(n); },
-               io);
-  return result;
+  return tree.Knn(q, k, std::forward<Emit>(emit), io);
 }
 
 }  // namespace clipbb::rtree

@@ -3,9 +3,12 @@
 // kNN, and batched queries by decoding node pages pinned in the buffer
 // pool — nothing but the clip table and the traversal state lives in
 // memory. The packed SoA page layout lets the shared scan kernels
-// (IntersectsAll, SoaMinDist2) run directly over the pinned frame bytes.
+// (IntersectsAll, SoaMinDist2) run directly over the pinned frame bytes,
+// and queries run the traversals of rtree/traverse.h — the same bodies as
+// the in-memory RTree, so results, visit order, and logical access counts
+// are identical by construction.
 //
-// Two modes:
+// Three modes:
 //
 //  * Open(): read-only, as in the paper's scalability setup (§V-C) — the
 //    clip table and superblock are memory-resident (one sequential scan at
@@ -14,23 +17,25 @@
 //    (IoStats::page_reads/page_writes).
 //
 //  * Open() with OpenOptions::mode = kReadWrite — Insert/Delete/
-//    UpdateClips mutate pinned
-//    frames in place. The caller supplies an empty tree of the file's
-//    variant; it is restored as a memory mirror whose node ids equal file
-//    page indexes (store observer + free-page-map id source), runs the
-//    exact same update algorithms as the in-memory tree — so the paged
-//    tree evolves structurally identically, the §V-C memory-residency
-//    assumption for directory decisions holds, and the physical page
-//    traffic is real: each operation faults the pages it modifies through
-//    the pool (page_reads), re-encodes them into the pinned frames, and
-//    write-back happens on eviction/flush (page_writes). Node splits and
-//    clip-run spill relocation allocate pages from the superblock-anchored
-//    free-page map (storage/free_page_map.h); deletes release them — the
-//    file never grows while free pages exist. Every modified page's
-//    post-image goes to the write-ahead log before the frame can reach the
-//    file (storage/wal.h), one commit record per operation, fsync every
-//    `commit_every` operations; both modes run WAL redo first, so a
-//    crash at any point recovers to the last durable commit.
+//    UpdateClips mutate pinned frames in place. The caller supplies an
+//    empty tree of the file's variant; it is restored as a memory mirror
+//    whose node ids equal file page indexes (store observer + free-page-map
+//    id source), runs the exact same update algorithms as the in-memory
+//    tree — so the paged tree evolves structurally identically, the §V-C
+//    memory-residency assumption for directory decisions holds, and the
+//    physical page traffic is real: each operation faults the pages it
+//    modifies through the pool (page_reads), re-encodes them into the
+//    pinned frames, and write-back happens on eviction/flush
+//    (page_writes). Node splits and clip-run spill relocation allocate
+//    pages from the superblock-anchored free-page map
+//    (storage/free_page_map.h); deletes release them — the file never
+//    grows while free pages exist. Every modified page's post-image goes
+//    to the write-ahead log before the frame can reach the file
+//    (storage/wal.h), one commit record per operation, fsync every
+//    `commit_every` operations; both modes run WAL redo first, so a crash
+//    at any point recovers to the last durable commit. The superblock is
+//    logged per operation but reaches the file only at a checkpoint, after
+//    the data pages it describes.
 //
 //  * Open() with OpenOptions::mode = kFollow — a live READ REPLICA of a
 //    writer running in another process. Opens read-only (the file
@@ -41,26 +46,23 @@
 //    images patched in place into the pool's read overlay (one page at
 //    a time, so a window costs O(its pages)), clip runs decoded into the
 //    replica's clip index — publishing exactly one epoch per committed
-//    transaction. Pinned snapshots get the same
-//    isolation as in-process readers; unpinned queries auto-pin the
-//    latest applied epoch and see fresh data within one poll interval
-//    (OpenOptions::follow_poll_ms, or explicit Refresh()). When the
-//    writer checkpoints it bumps the superblock's checkpoint generation
-//    BEFORE truncating the log; the replica detects the bump (or a
-//    shrunk log) and rebases. A replica that applied every window the
-//    checkpointed file reflects (applied LSN >= the file superblock's
-//    LSN) already shows exactly the file's bytes, so its rebase is O(1):
-//    drop the overlay, install the new superblock, republish. Otherwise
-//    the full rebase re-reads every section page from the durable file,
-//    captures the changed ones, drops its overlay, and keeps pinned
-//    epochs valid via the refcounted pre-image chain. A pinned epoch
-//    whose pre-image was lost to a racing writer write-back fails
-//    kStaleSnapshot rather than serve a torn-in-time view.
+//    transaction. Pinned snapshots get the same isolation as in-process
+//    readers; unpinned queries auto-pin the latest applied epoch and see
+//    fresh data within one poll interval (OpenOptions::follow_poll_ms, or
+//    explicit Refresh()). When the writer checkpoints it bumps the
+//    superblock's checkpoint generation BEFORE truncating the log; the
+//    replica detects the bump (or a shrunk log) and rebases. A replica
+//    that applied every window the checkpointed file reflects (applied
+//    LSN >= the file superblock's LSN) already shows exactly the file's
+//    bytes, so its rebase is O(1): drop the overlay, install the new
+//    superblock, republish. Otherwise the full rebase re-reads every
+//    section page from the durable file, captures the changed ones, drops
+//    its overlay, and keeps pinned epochs valid via the refcounted
+//    pre-image chain. A pinned epoch whose pre-image was lost to a racing
+//    writer write-back fails kStaleSnapshot rather than serve a
+//    torn-in-time view.
 //
-// Query results, visit order, and logical access counts are identical to
-// the in-memory RTree running the same tree (parity-tested).
-//
-// Thread safety: the read path (RangeQuery/RangeCount/Knn/RunBatch) may
+// Thread safety: the read path (RangeQuery/RangeCount/Knn) may
 // be called concurrently from many threads against one PagedRTree — the
 // buffer pool is lock-striped (OpenOptions::pool_shards picks the stripe
 // count), the clip table is compacted at open and read-only afterwards,
@@ -83,7 +85,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -92,8 +93,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <numeric>
-#include <queue>
 #include <span>
 #include <string>
 #include <thread>
@@ -102,15 +101,12 @@
 #include <vector>
 
 #include "core/clip_index.h"
-#include "core/intersect.h"
-#include "core/mindist.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "rtree/epoch.h"
-#include "rtree/knn.h"
-#include "rtree/page_format.h"
 #include "replica/wal_tailer.h"
-#include "rtree/query_batch.h"
+#include "rtree/epoch.h"
+#include "rtree/page_format.h"
+#include "rtree/rtree.h"
 #include "rtree/serialize.h"
 #include "storage/buffer_pool.h"
 #include "storage/free_page_map.h"
@@ -208,11 +204,17 @@ class PagedRTree {
       return OpenWriteImpl(path, std::move(variant), opts);
     }
     if (variant != nullptr) return false;  // a mirror implies write intent
-    if (opts.mode == OpenMode::kFollow) return OpenFollowImpl(path, opts);
     return OpenReadImpl(path, opts);
   }
 
  private:
+  /// Read-only and follower opens share this body: redo into the
+  /// overlay, one scan for the clip table and root, then the pool. A
+  /// follower's state then tracks the live writer through the sidecar
+  /// log. The open-time redo overlay already reflects every committed
+  /// record, so the replay cursor starts past them; the tailer re-reading
+  /// those bytes is harmless (windows at or below the applied LSN are
+  /// skipped).
   bool OpenReadImpl(const std::string& path, const OpenOptions& opts) {
     Close();
     if (!OpenAndRecover(path, /*writable=*/false)) return false;
@@ -223,25 +225,10 @@ class PagedRTree {
     }
     clip_index_.Compact();
     clips_ = &clip_index_;
-    FinishOpen(opts);
-    return true;
-  }
-
-  /// Follower open: a read-only open whose state then tracks the live
-  /// writer through the sidecar log. The open-time redo overlay already
-  /// reflects every committed record, so the replay cursor starts past
-  /// them; the tailer re-reading those bytes is harmless (windows at or
-  /// below the applied LSN are skipped).
-  bool OpenFollowImpl(const std::string& path, const OpenOptions& opts) {
-    Close();
-    if (!OpenAndRecover(path, /*writable=*/false)) return false;
-    std::vector<std::byte> page(sb_.file_page_size);
-    if (!LoadRootAndClips(&page, &clip_index_, nullptr, nullptr, nullptr)) {
-      file_.Close();
-      return false;
+    if (opts.mode != OpenMode::kFollow) {
+      FinishOpen(opts);
+      return true;
     }
-    clip_index_.Compact();
-    clips_ = &clip_index_;
     follow_mode_ = true;
     // Committed state only: a pending record tail (a reader-forced sync
     // can make one durable mid-transaction) is not applied, and counting
@@ -256,22 +243,8 @@ class PagedRTree {
     tailer_ = std::make_unique<replica::WalTailer>(WalPathFor(path));
     op_seq_ = std::max(sb_.last_op_seq, recovery_.last_op_seq);
     // Queries in follow mode always run pinned, and pinned clip lookups
-    // resolve through the epoch manager — seed its base table and arm
-    // the pre-image hook exactly like the writer does for its mirror.
-    {
-      typename EpochManager<D>::ClipMap base;
-      clip_index_.ForEach(
-          [&](core::NodeId nid, std::span<const core::ClipPoint<D>> run) {
-            base.emplace(nid, typename EpochManager<D>::ClipRun(run.begin(),
-                                                                run.end()));
-          });
-      epochs_->SeedBaseClips(std::move(base));
-      clip_index_.SetMutateHook(
-          [this](core::NodeId nid,
-                 std::span<const core::ClipPoint<D>> old_run) {
-            OnClipMutate(nid, old_run);
-          });
-    }
+    // resolve through the epoch manager.
+    ArmEpochClips(clip_index_);
     if (opts.follow_poll_ms > 0) {
       stop_poll_ = false;
       poll_thread_ = std::thread([this, ms = opts.follow_poll_ms] {
@@ -286,6 +259,41 @@ class PagedRTree {
       });
     }
     return true;
+  }
+
+  /// Snapshot readers resolve clip runs through the epoch manager (the
+  /// live index is unsynchronized against the writer or applier), so seed
+  /// its stable base table from `index` and install the pre-mutation hook
+  /// that captures first-touch clip pre-images.
+  void ArmEpochClips(core::ClipIndex<D>& index) {
+    typename EpochManager<D>::ClipMap base;
+    index.ForEach(
+        [&](core::NodeId nid, std::span<const core::ClipPoint<D>> run) {
+          base.emplace(nid, typename EpochManager<D>::ClipRun(run.begin(),
+                                                              run.end()));
+        });
+    epochs_->SeedBaseClips(std::move(base));
+    index.SetMutateHook(
+        [this](core::NodeId nid, std::span<const core::ClipPoint<D>> old_run) {
+          OnClipMutate(nid, old_run);
+        });
+  }
+
+  /// Closes the log and the page file and detaches and drops the write
+  /// mirror — the teardown shared by Close() and a failed write open.
+  /// The pool must already be gone (its destructor flushes to file_).
+  void CloseFilesAndMirror() {
+    assert(!pool_);
+    wal_.Close();
+    file_.Close();
+    if (tree_) {
+      tree_->SetStoreObserver(nullptr);
+      tree_->SetStoreIdSource(nullptr);
+      tree_->mutable_clip_index().SetMutateHook(nullptr);
+      tree_.reset();
+    }
+    hooks_.reset();
+    clips_ = &clip_index_;  // never leave clips_ aimed at a dead mirror
   }
 
   bool OpenWriteImpl(const std::string& path,
@@ -341,9 +349,7 @@ class PagedRTree {
                                   sb_.num_objects, sb_.clipped != 0, cfg,
                                   std::move(clips));
     if (!free_map_.Reset(sb_.num_section_pages, std::move(chain))) {
-      tree_.reset();
-      clips_ = &clip_index_;
-      file_.Close();
+      CloseFilesAndMirror();
       return false;
     }
     hooks_ = std::make_unique<StoreHooks>(this);
@@ -353,33 +359,16 @@ class PagedRTree {
 
     if (!wal_.Open(WalPathFor(path), sb_.file_page_size,
                    std::max(sb_.lsn, recovery_.max_lsn) + 1)) {
-      tree_->SetStoreObserver(nullptr);
-      tree_->SetStoreIdSource(nullptr);
-      tree_.reset();
-      hooks_.reset();
-      clips_ = &clip_index_;  // never leave clips_ aimed at a dead mirror
-      file_.Close();
+      CloseFilesAndMirror();
       return false;
     }
     if (recovery_.records_scanned > 0 || recovery_.tail_discarded > 0) {
       // Recovery just truncated a log a follower may have been tailing —
       // advance the checkpoint generation so it rebases instead of
       // resuming its old byte offset into this fresh log incarnation.
-      std::vector<std::byte> page0(sb_.file_page_size, std::byte{0});
-      ++sb_.checkpoint_gen;
-      std::memcpy(page0.data(), &sb_, sizeof sb_);
-      StampSuperblockPage(page0.data(), sb_.file_page_size);
-      std::memcpy(&sb_.checksum,
-                  page0.data() + offsetof(Superblock, checksum),
-                  sizeof sb_.checksum);
-      if (!file_.WritePage(0, page0.data()) || !file_.Sync()) {
-        wal_.Close();
-        tree_->SetStoreObserver(nullptr);
-        tree_->SetStoreIdSource(nullptr);
-        tree_.reset();
-        hooks_.reset();
-        clips_ = &clip_index_;
-        file_.Close();
+      stage_buf_.resize(sb_.file_page_size);
+      if (!BumpCheckpointGen()) {
+        CloseFilesAndMirror();
         return false;
       }
     }
@@ -393,24 +382,7 @@ class PagedRTree {
     op_seq_ = std::max(sb_.last_op_seq, recovery_.last_op_seq);
     height_ = tree_->Height();
     bounds_ = tree_->bounds();
-    // Arm the epoch machinery: snapshot readers resolve clip runs through
-    // the manager (the live mirror index is unsynchronized), so seed its
-    // stable base table from the restored state, and install the
-    // pre-mutation hook that captures first-touch clip pre-images.
-    {
-      typename EpochManager<D>::ClipMap base;
-      clips_->ForEach(
-          [&](core::NodeId nid, std::span<const core::ClipPoint<D>> run) {
-            base.emplace(nid, typename EpochManager<D>::ClipRun(run.begin(),
-                                                                run.end()));
-          });
-      epochs_->SeedBaseClips(std::move(base));
-      tree_->mutable_clip_index().SetMutateHook(
-          [this](core::NodeId nid,
-                 std::span<const core::ClipPoint<D>> old_run) {
-            OnClipMutate(nid, old_run);
-          });
-    }
+    ArmEpochClips(tree_->mutable_clip_index());
     return true;
   }
 
@@ -448,18 +420,9 @@ class PagedRTree {
       assert(!wal_.is_open());
     }
     pool_.reset();
-    wal_.Close();
-    file_.Close();
-    if (tree_) {
-      tree_->SetStoreObserver(nullptr);
-      tree_->SetStoreIdSource(nullptr);
-      tree_->mutable_clip_index().SetMutateHook(nullptr);
-      tree_.reset();
-    }
-    hooks_.reset();
+    CloseFilesAndMirror();
     clip_index_.SetMutateHook(nullptr);  // Clear must not capture pre-images
     clip_index_.Clear();
-    clips_ = &clip_index_;
     spill_of_.clear();
     redo_overlay_.clear();
     tailer_.reset();
@@ -620,6 +583,7 @@ class PagedRTree {
     if (!follow_mode_ || !open_) return false;
     std::lock_guard<std::mutex> lock(refresh_mu_);
     std::vector<replica::WalCommitWindow> windows;
+    std::vector<std::byte> sb_page(sb_.file_page_size);
     for (int round = 0; round < 4; ++round) {
       windows.clear();
       const replica::WalTailer::PollResult pr = tailer_->Poll(&windows);
@@ -632,11 +596,12 @@ class PagedRTree {
       // scanned post-truncate bytes, the bump is visible here — the
       // polled windows are then discarded and the replica rebases (the
       // checkpoint made their effects durable in the page file first).
-      Superblock fsb{};
-      if (!ReadLiveSuperblock(&fsb)) {
+      if (!ReadLivePage(0, sb_page.data())) {
         if (status) *status = {storage::ErrorKind::kChecksum, 0};
         return false;
       }
+      Superblock fsb{};
+      std::memcpy(&fsb, sb_page.data(), sizeof fsb);
       if (fsb.checkpoint_gen != gen_ ||
           pr == replica::WalTailer::PollResult::kShrunk) {
         if (!Rebase(fsb)) {
@@ -748,23 +713,75 @@ class PagedRTree {
                     storage::Status* status = nullptr,
                     const SnapshotT* snap = nullptr) {
     if (out) {
-      return TraverseWindowEmit<false>(
+      return TraverseWindowEmit(
           q, MatchAllPred{}, [out](ObjectId id) { out->push_back(id); }, io,
           scratch, status, snap);
     }
-    return TraverseWindowEmit<false>(q, MatchAllPred{}, [](ObjectId) {}, io,
-                                     scratch, status, snap);
+    return TraverseWindowEmit(q, MatchAllPred{}, [](ObjectId) {}, io, scratch,
+                              status, snap);
+  }
+
+  size_t RangeCount(const RectT& q, storage::IoStats* io = nullptr,
+                    TraversalScratch* scratch = nullptr,
+                    storage::Status* status = nullptr,
+                    const SnapshotT* snap = nullptr) {
+    return RangeQuery(q, nullptr, io, scratch, status, snap);
+  }
+
+  /// The window traversal of rtree/traverse.h over pool-pinned pages (the
+  /// on-page SoA IntersectsAll kernel runs zero-copy on the frame bytes).
+  /// Visits leaf entries intersecting `window` and keeps those satisfying
+  /// `pred`; `emit(ObjectId)` fires once per result in visit order — the
+  /// same order, results, and logical I/O counts as the in-memory tree.
+  /// Every window query kind of the unified query API (rtree/query_api.h)
+  /// runs through here.
+  ///
+  /// A valid `snap` (PinSnapshot) runs the traversal against that pinned
+  /// epoch instead of the live tree — safe concurrently with the writer;
+  /// results equal a serialized run against the epoch's committed state.
+  /// Null/invalid `snap` is the latest-epoch path.
+  ///
+  /// Failure semantics: a page that cannot be pinned (after the pool's
+  /// bounded retries) or fails validation abandons the traversal, latches
+  /// the sticky io_error_ flag, and — when `status` is given — reports the
+  /// error kind and page, so callers can distinguish a truncated result
+  /// set from a small one per query, not just per engine.
+  template <typename Pred, typename Emit>
+  size_t TraverseWindowEmit(const RectT& window, const Pred& pred,
+                            Emit&& emit, storage::IoStats* io = nullptr,
+                            TraversalScratch* scratch = nullptr,
+                            storage::Status* status = nullptr,
+                            const SnapshotT* snap = nullptr) {
+    return OverSource(snap, io, status, scratch, [&](auto& src, auto* s) {
+      return TraverseWindow<D>(src, window, pred, emit, io, s);
+    });
+  }
+
+  /// k nearest objects to `q`, ascending squared distance — the best-first
+  /// search of rtree/traverse.h over pinned pages. Emits each
+  /// KnnNeighbor<D> the moment it is popped from the frontier; returns the
+  /// number emitted. A valid `snap` runs against that pinned epoch
+  /// (concurrent-writer-safe; see TraverseWindowEmit).
+  template <typename Emit>
+    requires std::invocable<Emit&, const KnnNeighbor<D>&>
+  size_t Knn(const geom::Vec<D>& q, int k, Emit&& emit,
+             storage::IoStats* io = nullptr,
+             storage::Status* status = nullptr,
+             const SnapshotT* snap = nullptr) {
+    if (k <= 0) return 0;
+    return OverSource(snap, io, status, /*scratch=*/nullptr,
+                      [&](auto& src, auto*) {
+                        return KnnBestFirst<D>(src, q, k, emit, io);
+                      });
   }
 
  private:
   // ---------------------------------------------------- traversal sources
-  // The query bodies below are generic over a *source* that resolves the
-  // tree's shape, node pages, and clip runs. Two implementations:
+  // The shared traversals run over one of two sources:
   //
   //  * LatestSource — the unpinned path: reads the live superblock, pins
-  //    frames in the pool, and consults the live clip table. Behaviour
-  //    and counters are byte-identical to the pre-snapshot engine, so an
-  //    unused snapshot facility costs the hot path nothing.
+  //    frames in the pool, and consults the live clip table. An unused
+  //    snapshot facility costs this path nothing.
   //  * SnapshotSource — a pinned epoch: shape comes from the snapshot's
   //    frozen EpochTreeView; pages resolve through the epoch manager's
   //    pre-image chain first, and a chain miss copies the live frame out
@@ -776,39 +793,97 @@ class PagedRTree {
   //    Nothing stays pinned: chain hits are stable heap buffers (retained
   //    while the epoch is pinned) and misses land in the caller's buffer.
 
-  struct LatestSource {
+  /// What both sources share (the node-source interface of
+  /// rtree/traverse.h): page decode, validation, and the failure policy.
+  /// An unreadable or corrupt page latches io_error_ — a stale snapshot
+  /// does not, it is a transient per-pin condition (the follower's writer
+  /// raced ahead) — and reports through `status`.
+  template <typename Derived>
+  struct PagedSource {
+    struct View {
+      PagedNodeView<D> page;
+      SoaNodeView<D> soa;
+      uint32_t n() const { return soa.n; }
+      bool IsLeaf() const { return page.IsLeaf(); }
+      int64_t Id(uint32_t i) const { return soa.id[i]; }
+      RectT EntryRect(uint32_t i) const { return page.EntryRect(i); }
+      double MinDist2(uint32_t i, const geom::Vec<D>& q) const {
+        return SoaMinDist2<D>(soa, i, q);
+      }
+      const uint64_t* Mask(const RectT& w, TraversalScratch* s) const {
+        uint64_t* mask = s->MaskFor(soa.n);
+        IntersectsAll<D>(soa, w, mask, s->FlagsFor(soa.n));
+        return mask;
+      }
+    };
+
     PagedRTree* t;
     storage::BufferPool::PinIo* pin_io;
-    int64_t root() const { return t->sb_.root_page; }
-    uint64_t section_pages() const { return t->sb_.num_section_pages; }
-    bool clipped() const { return t->clipping_enabled(); }
-    const std::byte* Acquire(storage::PageId fid, storage::Status* st) {
-      return t->pool_->Pin(fid, pin_io, st);
+    storage::Status* status;
+
+    bool Acquire(int64_t node, View* v) {
+      storage::Status st;
+      const std::byte* bytes = self().AcquirePage(1 + node, &st);
+      if (!bytes) {
+        Fail(st, st.kind != storage::ErrorKind::kStaleSnapshot);
+        return false;
+      }
+      v->page = DecodeNodePage<D>(bytes);
+      if (!t->ValidPage(v->page)) {  // corrupt counts would walk off the frame
+        Fail({storage::ErrorKind::kCorruptStructure, 1 + node});
+        self().ReleasePage(1 + node);
+        return false;
+      }
+      v->soa = v->page.Soa();
+      return true;
     }
-    void Release(storage::PageId fid) {
-      t->pool_->Unpin(fid, false, 0, pin_io);
+    void Release(int64_t node) { self().ReleasePage(1 + node); }
+    /// A corrupt child pointer is reported and not followed.
+    bool ChildOk(int64_t node, int64_t child) {
+      if (child >= 0 &&
+          child < static_cast<int64_t>(self().section_pages())) {
+        return true;
+      }
+      Fail({storage::ErrorKind::kCorruptStructure, 1 + node});
+      return false;
+    }
+    void Fail(const storage::Status& st, bool latch = true) {
+      if (latch) t->io_error_.store(true, std::memory_order_relaxed);
+      if (status) *status = st;
+    }
+    Derived& self() { return static_cast<Derived&>(*this); }
+  };
+
+  struct LatestSource : PagedSource<LatestSource> {
+    int64_t root() const { return this->t->sb_.root_page; }
+    uint64_t section_pages() const { return this->t->sb_.num_section_pages; }
+    bool clipped() const { return this->t->clipping_enabled(); }
+    const std::byte* AcquirePage(storage::PageId fid, storage::Status* st) {
+      return this->t->pool_->Pin(fid, this->pin_io, st);
+    }
+    void ReleasePage(storage::PageId fid) {
+      this->t->pool_->Unpin(fid, false, 0, this->pin_io);
     }
     std::span<const core::ClipPoint<D>> Clips(int64_t node) {
-      return t->clips_->Get(node);
+      return this->t->clips_->Get(node);
     }
   };
 
-  struct SnapshotSource {
-    PagedRTree* t;
+  struct SnapshotSource : PagedSource<SnapshotSource> {
     const SnapshotT* snap;
-    storage::BufferPool::PinIo* pin_io;
     std::vector<std::byte>* page_buf;  // one file page, caller-owned
     typename EpochManager<D>::ClipRun clip_buf;
     int64_t root() const { return snap->view().root_page; }
     uint64_t section_pages() const { return snap->view().num_section_pages; }
     bool clipped() const { return snap->view().clipped; }
-    const std::byte* Acquire(storage::PageId fid, storage::Status* st) {
+    const std::byte* AcquirePage(storage::PageId fid, storage::Status* st) {
       EpochManager<D>* m = snap->manager();
       if (const auto* pre = m->FindPage(snap->epoch(), fid)) {
         return Resolve(pre, fid, st);
       }
       storage::Status s;
-      if (!t->pool_->ReadPageCopy(fid, page_buf->data(), pin_io, &s)) {
+      if (!this->t->pool_->ReadPageCopy(fid, page_buf->data(), this->pin_io,
+                                        &s)) {
         // A checksum failure on a follower's base read is a torn read
         // racing the live writer's write-back — the same transient the
         // LSN gate below would catch one instant later (the writer only
@@ -847,376 +922,61 @@ class PagedRTree {
       if (st) *st = {storage::ErrorKind::kStaleSnapshot, fid};
       return nullptr;
     }
-    void Release(storage::PageId) {}
+    void ReleasePage(storage::PageId) {}
     std::span<const core::ClipPoint<D>> Clips(int64_t node) {
       std::span<const core::ClipPoint<D>> out;
       if (snap->manager()->FindClips(snap->epoch(), node, &out, &clip_buf)) {
         return out;
       }
-      return t->clips_->Get(node);  // read-only open: immutable table
+      return this->t->clips_->Get(node);  // read-only open: immutable table
     }
   };
 
-  /// Window-traversal body, generic over the page/clip source; the public
-  /// TraverseWindowEmit dispatches here (semantics documented there).
-  template <bool PredImpliesIntersect, typename Src, typename Pred,
-            typename Emit>
-  size_t TraverseWindowOver(Src& src, const RectT& window, Pred&& pred,
-                            Emit&& emit, storage::IoStats* io,
-                            TraversalScratch* scratch,
-                            storage::Status* status) {
-    constexpr bool kMatchAll =
-        std::is_same_v<std::decay_t<Pred>, MatchAllPred>;
-    auto& stack = scratch->stack;
-    stack.clear();
-    stack.push_back(src.root());
-    size_t found = 0;
-    while (!stack.empty()) {
-      const storage::PageId id = stack.back();
-      stack.pop_back();
-      storage::Status acq_status;
-      const std::byte* bytes = src.Acquire(1 + id, &acq_status);
-      if (!bytes) {  // unreadable page; abandon the traversal
-        // Stale-snapshot misses are transient per-pin conditions (the
-        // follower's writer raced ahead) — report them without latching
-        // the engine-wide sticky flag.
-        if (acq_status.kind != storage::ErrorKind::kStaleSnapshot) {
-          io_error_.store(true, std::memory_order_relaxed);
-        }
-        if (status) *status = acq_status;
-        break;
-      }
-      const PagedNodeView<D> v = DecodeNodePage<D>(bytes);
-      if (!ValidPage(v)) {  // corrupt counts would walk off the frame
-        io_error_.store(true, std::memory_order_relaxed);
-        if (status) {
-          *status = storage::Status{storage::ErrorKind::kCorruptStructure,
-                                    1 + id};
-        }
-        src.Release(1 + id);
-        break;
-      }
-      uint64_t* mask = scratch->MaskFor(v.n());
-      IntersectsAll<D>(v.Soa(), window, mask, scratch->FlagsFor(v.n()));
-      if (v.IsLeaf()) {
-        if (io) ++io->leaf_accesses;
-        bool contributed = false;
-        for (uint32_t w = 0; w * 64 < v.n(); ++w) {
-          uint64_t m = mask[w];
-          while (m) {
-            const uint32_t i =
-                w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-            m &= m - 1;
-            if (kMatchAll || pred(v.EntryRect(i))) {
-              ++found;
-              contributed = true;
-              emit(static_cast<ObjectId>(v.id[i]));
-            }
-          }
-        }
-        if (io && contributed) ++io->contributing_leaf_accesses;
-      } else {
-        if (io) ++io->internal_accesses;
-        // Same push order as the in-memory traversal (ascending entry
-        // index), so both paths visit nodes and emit results identically.
-        for (uint32_t w = 0; w * 64 < v.n(); ++w) {
-          uint64_t m = mask[w];
-          while (m) {
-            const uint32_t i =
-                w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-            m &= m - 1;
-            const int64_t child = v.id[i];
-            if (child < 0 ||
-                child >= static_cast<int64_t>(src.section_pages())) {
-              // Corrupt child pointer; don't follow it.
-              io_error_.store(true, std::memory_order_relaxed);
-              if (status) {
-                *status = storage::Status{
-                    storage::ErrorKind::kCorruptStructure, 1 + id};
-              }
-              continue;
-            }
-            if (src.clipped()) {
-              if (io) ++io->clip_accesses;
-              if (core::ClipsPruneQuery<D>(src.Clips(child), window)) {
-                continue;
-              }
-            }
-            stack.push_back(child);
-          }
-        }
-      }
-      src.Release(1 + id);
-    }
-    return found;
-  }
-
- public:
-  /// Shared window traversal of the disk-resident engine — the paged twin
-  /// of RTree::TraverseWindowEmit, decoding pool-pinned pages. Visits leaf
-  /// entries intersecting `window` (the on-page SoA IntersectsAll kernel
-  /// runs zero-copy on the pinned frame bytes) and keeps those satisfying
-  /// `pred`; `emit(ObjectId)` fires once per result in visit order. Node
-  /// visit order, results, and logical I/O counts are identical to the
-  /// in-memory tree running the same query (`PredImpliesIntersect` is
-  /// accepted for interface symmetry; the paged path always has the
-  /// bitmask in hand). Point / containment / enclosure predicates run
-  /// through here via the unified query API (rtree/query_api.h).
-  ///
-  /// A valid `snap` (PinSnapshot) runs the traversal against that pinned
-  /// epoch instead of the live tree — safe concurrently with the writer;
-  /// results equal a serialized run against the epoch's committed state.
-  /// Null/invalid `snap` is the latest-epoch path, byte-identical to the
-  /// pre-snapshot engine.
-  ///
-  /// Failure semantics: a page that cannot be pinned (after the pool's
-  /// bounded retries) or fails validation abandons the traversal, latches
-  /// the sticky io_error_ flag, and — when `status` is given — reports the
-  /// error kind and page, so callers can distinguish a truncated result
-  /// set from a small one per query, not just per engine.
-  template <bool PredImpliesIntersect, typename Pred, typename Emit>
-  size_t TraverseWindowEmit(const RectT& window, Pred&& pred, Emit&& emit,
-                            storage::IoStats* io = nullptr,
-                            TraversalScratch* scratch = nullptr,
-                            storage::Status* status = nullptr,
-                            const SnapshotT* snap = nullptr) {
+  /// Runs `body(src, scratch)` over the source a query reads — the pinned
+  /// epoch when `snap` is valid, else the live tree — and folds the call's
+  /// physical transfers into `io`. In follow mode every query runs pinned:
+  /// an unpinned call pins the latest applied epoch for its duration, so
+  /// all page reads are latched copies the applier may refresh
+  /// concurrently. A null `scratch` gets a per-call one.
+  template <typename Body>
+  size_t OverSource(const SnapshotT* snap, storage::IoStats* io,
+                    storage::Status* status, TraversalScratch* scratch,
+                    Body&& body) {
     assert(open_);
-    bool pinned = snap != nullptr && snap->valid();
-    // Follow mode: every query runs pinned — an unpinned entry pins the
-    // latest applied epoch for the call, so all page reads are latched
-    // copies and the applier may refresh frames concurrently.
     SnapshotT auto_snap;
-    if (!pinned && follow_mode_) {
+    if (follow_mode_ && (snap == nullptr || !snap->valid())) {
       auto_snap = PinSnapshot();
       snap = &auto_snap;
-      pinned = true;
     }
+    const bool pinned = snap != nullptr && snap->valid();
     TraversalScratch local;
     if (!scratch) {
       scratch = &local;
-      local.Reserve(pinned ? snap->view().height : height_,
-                    sb_.max_entries);
+      local.Reserve(pinned ? snap->view().height : height_, sb_.max_entries);
     }
     storage::BufferPool::PinIo pin_io;
     size_t found;
     if (pinned) {
       scratch->page_buf.resize(sb_.file_page_size);
-      SnapshotSource src{this, snap, &pin_io, &scratch->page_buf};
-      found = TraverseWindowOver<PredImpliesIntersect>(
-          src, window, std::forward<Pred>(pred), std::forward<Emit>(emit),
-          io, scratch, status);
+      SnapshotSource src{{this, &pin_io, status}, snap, &scratch->page_buf, {}};
+      found = body(src, scratch);
     } else {
-      LatestSource src{this, &pin_io};
-      found = TraverseWindowOver<PredImpliesIntersect>(
-          src, window, std::forward<Pred>(pred), std::forward<Emit>(emit),
-          io, scratch, status);
+      LatestSource src{{this, &pin_io, status}};
+      found = body(src, scratch);
     }
-    if (io) {
-      io->page_reads += pin_io.reads;
-      io->read_retries += pin_io.read_retries;
-      io->page_writes += pin_io.writes;
-      io->wal_syncs += pin_io.wal_syncs;
-      io->pin_miss_ns += pin_io.miss_ns;
-    }
+    FoldPinIo(pin_io, io);
     return found;
   }
 
-  size_t RangeCount(const RectT& q, storage::IoStats* io = nullptr,
-                    TraversalScratch* scratch = nullptr,
-                    storage::Status* status = nullptr,
-                    const SnapshotT* snap = nullptr) {
-    return RangeQuery(q, nullptr, io, scratch, status, snap);
-  }
-
-  /// k nearest objects to `q`, ascending squared distance — best-first
-  /// traversal identical to rtree/knn.h KnnSearch, decoding pinned pages.
-  /// Emits each KnnNeighbor<D> the moment it is popped from the frontier
-  /// (no intermediate vector — the sink form both engines share); returns
-  /// the number emitted. A valid `snap` runs against that pinned epoch
-  /// (concurrent-writer-safe; see TraverseWindowEmit).
-  template <typename Emit>
-    requires std::invocable<Emit&, const KnnNeighbor<D>&>
-  size_t Knn(const geom::Vec<D>& q, int k, Emit&& emit,
-             storage::IoStats* io = nullptr,
-             storage::Status* status = nullptr,
-             const SnapshotT* snap = nullptr) {
-    assert(open_);
-    if (k <= 0) return 0;
-    SnapshotT auto_snap;
-    if (follow_mode_ && (snap == nullptr || !snap->valid())) {
-      auto_snap = PinSnapshot();  // see TraverseWindowEmit
-      snap = &auto_snap;
-    }
-    storage::BufferPool::PinIo pin_io;
-    size_t found;
-    if (snap != nullptr && snap->valid()) {
-      std::vector<std::byte> page_buf(sb_.file_page_size);
-      SnapshotSource src{this, snap, &pin_io, &page_buf};
-      found = KnnOver(src, q, k, emit, io, status);
-    } else {
-      LatestSource src{this, &pin_io};
-      found = KnnOver(src, q, k, emit, io, status);
-    }
-    if (io) {
-      io->page_reads += pin_io.reads;
-      io->read_retries += pin_io.read_retries;
-      io->page_writes += pin_io.writes;
-      io->wal_syncs += pin_io.wal_syncs;
-      io->pin_miss_ns += pin_io.miss_ns;
-    }
-    return found;
-  }
-
- private:
-  /// Best-first kNN body, generic over the page/clip source.
-  template <typename Src, typename Emit>
-  size_t KnnOver(Src& src, const geom::Vec<D>& q, int k, Emit&& emit,
-                 storage::IoStats* io, storage::Status* status) {
-    size_t found = 0;
-    struct QueueItem {
-      double dist2;
-      bool is_object;
-      int64_t id;
-      bool operator>(const QueueItem& o) const { return dist2 > o.dist2; }
-    };
-    std::priority_queue<QueueItem, std::vector<QueueItem>,
-                        std::greater<QueueItem>>
-        frontier;
-    frontier.push({0.0, false, src.root()});
-
-    while (!frontier.empty()) {
-      const QueueItem item = frontier.top();
-      frontier.pop();
-      if (item.is_object) {
-        emit(KnnNeighbor<D>{item.id, item.dist2});
-        if (static_cast<int>(++found) == k) break;
-        continue;
-      }
-      storage::Status acq_status;
-      const std::byte* bytes = src.Acquire(1 + item.id, &acq_status);
-      if (!bytes) {
-        if (acq_status.kind != storage::ErrorKind::kStaleSnapshot) {
-          io_error_.store(true, std::memory_order_relaxed);
-        }
-        if (status) *status = acq_status;
-        break;
-      }
-      const PagedNodeView<D> v = DecodeNodePage<D>(bytes);
-      if (!ValidPage(v)) {
-        io_error_.store(true, std::memory_order_relaxed);
-        if (status) {
-          *status = storage::Status{storage::ErrorKind::kCorruptStructure,
-                                    1 + item.id};
-        }
-        src.Release(1 + item.id);
-        break;
-      }
-      const SoaNodeView<D> s = v.Soa();
-      const bool leaf = v.IsLeaf();
-      if (io) {
-        if (leaf) {
-          ++io->leaf_accesses;
-        } else {
-          ++io->internal_accesses;
-        }
-      }
-      for (uint32_t i = 0; i < v.n(); ++i) {
-        if (leaf) {
-          frontier.push({SoaMinDist2<D>(s, i, q), true, v.id[i]});
-        } else {
-          if (v.id[i] < 0 ||
-              v.id[i] >= static_cast<int64_t>(src.section_pages())) {
-            io_error_.store(true, std::memory_order_relaxed);
-            if (status) {
-              *status = storage::Status{
-                  storage::ErrorKind::kCorruptStructure, 1 + item.id};
-            }
-            continue;
-          }
-          double bound;
-          if (src.clipped()) {
-            if (io) ++io->clip_accesses;
-            bound = core::CbbMinDist2<D>(q, v.EntryRect(i),
-                                         src.Clips(v.id[i]));
-          } else {
-            bound = SoaMinDist2<D>(s, i, q);
-          }
-          frontier.push({bound, false, v.id[i]});
-        }
-      }
-      src.Release(1 + item.id);
-    }
-    return found;
-  }
-
- public:
-
-  /// k nearest objects to `q`, ascending, as a by-value vector.
-  [[deprecated(
-      "use SpatialEngine::Execute with QuerySpec::Knn and a KnnHeapSink "
-      "(rtree/query_api.h), or the sink-driven Knn overload")]]
-  std::vector<KnnNeighbor<D>> Knn(const geom::Vec<D>& q, int k,
-                                  storage::IoStats* io = nullptr) {
-    std::vector<KnnNeighbor<D>> result;
-    Knn(q, k,
-        [&result](const KnnNeighbor<D>& n) { result.push_back(n); }, io);
-    return result;
-  }
-
-  /// Runs every window as a range count, optionally in Hilbert order of
-  /// the query centers (the batched hot path), fanned out over
-  /// `opts.threads` workers pulling contiguous chunks of the schedule.
-  [[deprecated(
-      "use SpatialEngine::ExecuteBatch over this tree "
-      "(rtree/query_api.h)")]]
-  QueryBatchResult RunBatch(std::span<const RectT> queries,
-                            const QueryBatchOptions& opts) {
-    return RunBatchImpl(queries, opts);
-  }
-
-  /// Single-threaded batch (kept as the deterministic baseline schedule).
-  [[deprecated(
-      "use SpatialEngine::ExecuteBatch over this tree "
-      "(rtree/query_api.h)")]]
-  QueryBatchResult RunBatch(std::span<const RectT> queries,
-                            bool hilbert_order = true) {
-    QueryBatchOptions opts;
-    opts.hilbert_order = hilbert_order;
-    opts.threads = 1;
-    return RunBatchImpl(queries, opts);
-  }
-
- private:
-  /// The batch fan-out behind the deprecated RunBatch shims —
-  /// SpatialEngine::ExecuteBatch reproduces exactly this (same schedule,
-  /// ForEachChunked, per-worker scratch + IoStats summed at the join;
-  /// the sharded pool reads each faulted page exactly once even when
-  /// workers race to it, so summed physical reads match the serial run
-  /// on a no-evict pool).
-  QueryBatchResult RunBatchImpl(std::span<const RectT> queries,
-                                const QueryBatchOptions& opts) {
-    QueryBatchResult result;
-    result.counts.assign(queries.size(), 0);
-    if (queries.empty() || !open_) return result;
-    std::vector<uint32_t> order;
-    if (opts.hilbert_order) {
-      order = HilbertQueryOrder<D>(bounds_, queries);
-    } else {
-      order.resize(queries.size());
-      std::iota(order.begin(), order.end(), 0u);
-    }
-    const unsigned threads =
-        ResolveBatchThreads(opts.threads, queries.size());
-    std::vector<TraversalScratch> scratch(threads);
-    for (auto& s : scratch) s.Reserve(height_, sb_.max_entries);
-    std::vector<storage::IoStats> per_thread(threads);
-    ForEachChunked(order.size(), threads, [&](unsigned t, size_t i) {
-      const uint32_t qi = order[i];
-      result.counts[qi] =
-          RangeCount(queries[qi], &per_thread[t], &scratch[t]);
-    });
-    for (const auto& io : per_thread) result.io += io;
-    return result;
+  /// Adds one call's physical transfers to `io` (no-op when null).
+  static void FoldPinIo(const storage::BufferPool::PinIo& p,
+                        storage::IoStats* io) {
+    if (!io) return;
+    io->page_reads += p.reads;
+    io->read_retries += p.read_retries;
+    io->page_writes += p.writes;
+    io->wal_syncs += p.wal_syncs;
+    io->pin_miss_ns += p.miss_ns;
   }
 
   // ----------------------------------------------------------- open helpers
@@ -1367,11 +1127,7 @@ class PagedRTree {
       ++node_count;
       if (static_cast<int64_t>(p) == sb_.root_page) {
         root_seen = true;
-        height_ = static_cast<int>(v.header.level()) + 1;
-        bounds_ = RectT::Empty();
-        for (uint32_t i = 0; i < v.n(); ++i) {
-          bounds_.ExpandToInclude(v.EntryRect(i));
-        }
+        SetShape(v);
       }
       if (v.header.clip_count() > 0) {
         if (into) {
@@ -1484,15 +1240,15 @@ class PagedRTree {
   // they synchronize with concurrent pinned queries through the epoch
   // manager's capture-then-install protocol, exactly like the writer.
 
-  /// Reads the writer's current superblock page, checksum-verified with
-  /// a bounded retry (a read racing the writer's in-place pwrite can be
-  /// torn; the writer re-stamps it within one staging step).
-  bool ReadLiveSuperblock(Superblock* out) {
-    std::vector<std::byte> page(sb_.file_page_size);
+  /// Reads file page `fid` into `buf`, checksum-verified with a bounded
+  /// retry: a read racing the writer's in-place pwrite can be torn, and
+  /// the writer finishes the write within one staging step.
+  bool ReadLivePage(storage::PageId fid, std::byte* buf) {
+    const size_t ps = sb_.file_page_size;
     for (int attempt = 0; attempt < 5; ++attempt) {
-      if (!file_.ReadPage(0, page.data())) return false;
-      if (VerifySuperblockPage(page.data(), page.size())) {
-        std::memcpy(out, page.data(), sizeof *out);
+      if (!file_.ReadPage(fid, buf)) return false;
+      if (fid == 0 ? VerifySuperblockPage(buf, ps)
+                   : VerifyPageChecksum(buf, ps)) {
         return true;
       }
     }
@@ -1514,14 +1270,20 @@ class PagedRTree {
     if (!pool_->ReadForCapture(fid, capture_buf_.data(), &from_file)) {
       return;  // page born in this window: no committed pre-image exists
     }
+    CaptureVisible(fid, from_file,
+                   PageLsn(capture_buf_.data()) >= incoming_lsn);
+  }
+
+  /// Captures the replica-visible image just read into capture_buf_ as
+  /// `fid`'s pre-image — or a tombstone when the true pre-image is `lost`
+  /// or the bytes fail their checksum (a torn read against a racing
+  /// pwrite).
+  void CaptureVisible(storage::PageId fid, bool from_file, bool lost) {
     if (from_file) capture_reads_.fetch_add(1, std::memory_order_relaxed);
     const size_t ps = sb_.file_page_size;
-    if (PageLsn(capture_buf_.data()) >= incoming_lsn ||
-        !VerifyPageChecksum(capture_buf_.data(), ps)) {
-      epochs_->CapturePage(fid, capture_buf_.data(), 0);  // tombstone
-    } else {
-      epochs_->CapturePage(fid, capture_buf_.data(), ps);
-    }
+    const bool usable =
+        !lost && VerifyPageChecksum(capture_buf_.data(), ps);
+    epochs_->CapturePage(fid, capture_buf_.data(), usable ? ps : 0);
   }
 
   /// True when `run` is bit-for-bit the run the replica clip index
@@ -1608,11 +1370,15 @@ class PagedRTree {
   /// Recomputes the cached tree shape from a (new) root page image.
   void RefreshShapeFromRoot(const std::byte* root_bytes) {
     const PagedNodeView<D> v = DecodeNodePage<D>(root_bytes);
-    if (!ValidPage(v)) return;
-    height_ = static_cast<int>(v.header.level()) + 1;
+    if (ValidPage(v)) SetShape(v);
+  }
+
+  /// Caches height and bounds from the decoded root page.
+  void SetShape(const PagedNodeView<D>& root) {
+    height_ = static_cast<int>(root.header.level()) + 1;
     bounds_ = RectT::Empty();
-    for (uint32_t i = 0; i < v.n(); ++i) {
-      bounds_.ExpandToInclude(v.EntryRect(i));
+    for (uint32_t i = 0; i < root.n(); ++i) {
+      bounds_.ExpandToInclude(root.EntryRect(i));
     }
   }
 
@@ -1669,7 +1435,7 @@ class PagedRTree {
   ///    (applied LSN >= the file superblock's LSN — every committed
   ///    transaction rewrites the superblock, so its LSN is that of the
   ///    last one; applied_lsn_ counts committed records only, see
-  ///    OpenFollowImpl). The file then equals base plus overlay, so the
+  ///    OpenReadImpl). The file then equals base plus overlay, so the
   ///    visible bytes, clip runs and shape are already right: only the
   ///    superblock, generation and tailer move.
   ///  * Full, O(section): the replica missed windows (they went with the
@@ -1714,12 +1480,7 @@ class PagedRTree {
     std::vector<std::pair<storage::PageId, std::vector<std::byte>>> changed;
     for (uint64_t p = 0; p < fsb.num_section_pages; ++p) {
       const storage::PageId fid = 1 + static_cast<int64_t>(p);
-      bool read_ok = false;
-      for (int attempt = 0; attempt < 5 && !read_ok; ++attempt) {
-        if (!file_.ReadPage(fid, file_page.data())) return false;
-        read_ok = VerifyPageChecksum(file_page.data(), ps);
-      }
-      if (!read_ok) return false;
+      if (!ReadLivePage(fid, file_page.data())) return false;
       if (static_cast<int64_t>(p) == fsb.root_page) {
         root_page = file_page;
       }
@@ -1731,15 +1492,8 @@ class PagedRTree {
           std::memcmp(capture_buf_.data(), file_page.data(), ps) == 0;
       if (!visibly_same) {
         if (have_old && win_captured_.insert(fid).second) {
-          if (from_file) {
-            capture_reads_.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (PageLsn(capture_buf_.data()) > applied_lsn_ ||
-              !VerifyPageChecksum(capture_buf_.data(), ps)) {
-            epochs_->CapturePage(fid, capture_buf_.data(), 0);  // lost
-          } else {
-            epochs_->CapturePage(fid, capture_buf_.data(), ps);
-          }
+          CaptureVisible(fid, from_file,
+                         PageLsn(capture_buf_.data()) > applied_lsn_);
         }
         changed.emplace_back(fid, std::vector<std::byte>(file_page.begin(),
                                                          file_page.end()));
@@ -1815,10 +1569,7 @@ class PagedRTree {
     PagedRTree* owner;
   };
 
-  storage::PageId AllocateSectionPage() {
-    const storage::FreePageMap::Alloc a = free_map_.Allocate();
-    return a.id;
-  }
+  storage::PageId AllocateSectionPage() { return free_map_.Allocate().id; }
 
   void ReleaseSectionPage(storage::PageId id) {
     // Only spill pages come through here (shrink-back and owner-death
@@ -1907,12 +1658,10 @@ class PagedRTree {
       if (ok) PublishEpoch();
     }
 
-    update_io_.page_reads += stage_io_.reads;
-    update_io_.read_retries += stage_io_.read_retries;
-    update_io_.page_writes += stage_io_.writes;
-    update_io_.pin_miss_ns += stage_io_.miss_ns;
     // WAL syncs come from the WalStats delta (stage_io_.wal_syncs is a
     // subset of it: forced write-back syncs are real Wal::Sync calls).
+    stage_io_.wal_syncs = 0;
+    FoldPinIo(stage_io_, &update_io_);
     const storage::WalStats& w = wal_.stats();
     update_io_.wal_appends += w.appends - wal0.appends;
     update_io_.wal_bytes += w.bytes - wal0.bytes;
@@ -2027,41 +1776,40 @@ class PagedRTree {
       sb_.num_clip_points = clips_->TotalClipPoints();
       sb_.num_clipped_nodes = clips_->NumClippedNodes();
     }
-    std::byte* frame = pool_->PinForWrite(0, &stage_io_);
-    if (!frame) return false;
-    const uint64_t lsn = wal_.next_lsn();
-    staged_pins_.emplace_back(0, lsn);
-    sb_.lsn = lsn;
-    std::memset(frame, 0, sb_.file_page_size);
-    std::memcpy(frame, &sb_, sizeof sb_);
-    StampSuperblockPage(frame, sb_.file_page_size);
-    // Keep the in-memory superblock equal to its staged image.
-    std::memcpy(&sb_.checksum, frame + offsetof(Superblock, checksum),
-                sizeof sb_.checksum);
-    wal_.AppendPageImage(0, frame, staging_seq_);
+    // Page 0 never becomes a pool frame: the image goes to the log only,
+    // and the file's superblock is written by BumpCheckpointGen alone,
+    // after the pages it describes are synced. A superblock reaching the
+    // file ahead of its data pages (through eviction or a checkpoint
+    // flush) would let a follower rebase onto an LSN the file does not
+    // yet reflect.
+    sb_.lsn = wal_.next_lsn();
+    EncodeSuperblock();
+    wal_.AppendPageImage(0, stage_buf_.data(), staging_seq_);
     return true;
   }
 
-  /// Advances the superblock's checkpoint generation and writes page 0
-  /// straight to the (just-synced) file, durably, with the SAME LSN —
-  /// followers key their rebase decision off the generation alone. Runs
-  /// between a checkpoint's data sync and its log truncation; see
-  /// Checkpoint() for why this order is what makes log truncation safe
-  /// to observe from another process.
-  bool BumpCheckpointGen() {
-    ++sb_.checkpoint_gen;
+  /// Encodes sb_ as a full page into stage_buf_ and keeps the in-memory
+  /// superblock's checksum equal to the encoded image's.
+  void EncodeSuperblock() {
     std::memset(stage_buf_.data(), 0, sb_.file_page_size);
     std::memcpy(stage_buf_.data(), &sb_, sizeof sb_);
     StampSuperblockPage(stage_buf_.data(), sb_.file_page_size);
     std::memcpy(&sb_.checksum,
                 stage_buf_.data() + offsetof(Superblock, checksum),
                 sizeof sb_.checksum);
-    if (!file_.WritePage(0, stage_buf_.data())) return false;
-    if (!file_.Sync()) return false;
-    // Keep a resident page-0 frame coherent with the direct write (the
-    // next superblock staging fully overwrites it from sb_ anyway).
-    pool_->RefreshResident(0, stage_buf_.data());
-    return true;
+  }
+
+  /// Advances the superblock's checkpoint generation and writes page 0
+  /// straight to the (just-synced) file, durably, with the SAME LSN —
+  /// followers key their rebase decision off the generation alone. The
+  /// only writer of the file's page 0: it runs between a checkpoint's data
+  /// sync and its log truncation (see Checkpoint() for why this order
+  /// makes log truncation safe to observe from another process), and at a
+  /// write open whose recovery truncated the log.
+  bool BumpCheckpointGen() {
+    ++sb_.checkpoint_gen;
+    EncodeSuperblock();
+    return file_.WritePage(0, stage_buf_.data()) && file_.Sync();
   }
 
   // ---------------------------------------------------- epoch bookkeeping

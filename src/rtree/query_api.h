@@ -28,13 +28,10 @@
 //    TraversalScratch and IoStats summed at the join — exactly the
 //    batched hot path both engines already shared for range queries, now
 //    for every predicate kind). Results, visit order, and logical I/O are
-//    identical across backends (parity-tested); the paged backend
-//    additionally reports physical page reads in the same IoStats.
-//
-// The pre-unification surface (free PointQuery/ContainedInQuery/
-// EnclosureQuery/KnnQuery/RunQueryBatch/BatchRangeCount, by-value
-// PagedRTree::Knn, PagedRTree::RunBatch) survives as deprecated shims for
-// exactly one PR.
+//    identical across backends by construction: both adapters run the
+//    one traversal and the one kNN of rtree/traverse.h, through one shared
+//    Run body; the paged backend additionally reports physical page reads
+//    in the same IoStats.
 #ifndef CLIPBB_RTREE_QUERY_API_H_
 #define CLIPBB_RTREE_QUERY_API_H_
 
@@ -44,15 +41,14 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rtree/knn.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_batch.h"
-#include "rtree/rtree.h"
 
 namespace clipbb::rtree {
 
@@ -390,54 +386,71 @@ struct TimedPred {
   }
 };
 
-template <bool kImplies, typename Traverse, typename Pred>
-size_t RunWindowPred(Traverse& traverse, Pred pred,
-                     obs::QueryProbe* probe) {
-  if (probe != nullptr) {
-    return traverse.template operator()<kImplies>(
-        TimedPred<Pred>{std::move(pred), probe});
-  }
-  return traverse.template operator()<kImplies>(std::move(pred));
-}
-
-/// Window-predicate dispatch shared by both adapters: calls
-/// `traverse.template operator()<PredImpliesIntersect>(pred)` with the
-/// leaf predicate of `spec.kind`. kKnn never reaches here. A non-null
-/// `probe` wraps the non-trivial predicates in TimedPred; kIntersects
-/// stays MatchAllPred unconditionally — it has no refine phase, and
-/// wrapping it would break the kMatchAll fast path.
+/// Window-predicate dispatch: calls `traverse(pred)` with the leaf
+/// predicate of `spec.kind`. kKnn never reaches here. A non-null `probe`
+/// wraps the non-trivial predicates in TimedPred; kIntersects stays
+/// MatchAllPred unconditionally — it has no refine phase, and wrapping it
+/// would break the match-all fast path.
 template <int D, typename Traverse>
 size_t DispatchWindow(const QuerySpec<D>& spec, Traverse&& traverse,
-                      obs::QueryProbe* probe = nullptr) {
+                      obs::QueryProbe* probe) {
+  auto run = [&](auto pred) {
+    if (probe != nullptr) {
+      return traverse(TimedPred<decltype(pred)>{std::move(pred), probe});
+    }
+    return traverse(std::move(pred));
+  };
   switch (spec.kind) {
     case QueryKind::kIntersects:
-      return traverse.template operator()<false>(MatchAllPred{});
+      return traverse(MatchAllPred{});
     case QueryKind::kContainsPoint:
-      return RunWindowPred<true>(
-          traverse,
-          [p = spec.point](const geom::Rect<D>& r) {
-            return r.ContainsPoint(p);
-          },
-          probe);
+      return run([p = spec.point](const geom::Rect<D>& r) {
+        return r.ContainsPoint(p);
+      });
     case QueryKind::kContainedIn:
-      return RunWindowPred<true>(
-          traverse,
-          [w = spec.window](const geom::Rect<D>& r) {
-            return w.Contains(r);
-          },
-          probe);
+      return run([w = spec.window](const geom::Rect<D>& r) {
+        return w.Contains(r);
+      });
     case QueryKind::kEncloses:
-      return RunWindowPred<true>(
-          traverse,
-          [w = spec.window](const geom::Rect<D>& r) {
-            return r.Contains(w);
-          },
-          probe);
+      return run([w = spec.window](const geom::Rect<D>& r) {
+        return r.Contains(w);
+      });
     case QueryKind::kKnn:
       break;
   }
   assert(!"window dispatch reached for a kNN spec");
   return 0;
+}
+
+/// The Run body both adapters share: wraps `sink` in the delivery
+/// callback (timed into `probe` on sampled queries) and dispatches on the
+/// spec kind. `tree` is an RTree or a PagedRTree; `extra...` are the
+/// paged engine's trailing status/snapshot arguments (none in memory).
+template <int D, typename Tree, typename... Extra>
+size_t RunSpec(Tree& tree, const QuerySpec<D>& spec, ResultSink<D>* sink,
+               storage::IoStats* io, TraversalScratch* scratch,
+               obs::QueryProbe* probe, Extra... extra) {
+  auto deliver = [sink, probe](const auto& result) {
+    if (sink == nullptr) return;
+    const uint64_t t0 = probe != nullptr ? obs::NowNs() : 0;
+    if constexpr (std::is_same_v<std::decay_t<decltype(result)>,
+                                 KnnNeighbor<D>>) {
+      sink->OnNeighbor(result);
+    } else {
+      sink->OnMatch(result);
+    }
+    if (probe != nullptr) probe->sink_ns += obs::NowNs() - t0;
+  };
+  if (spec.kind == QueryKind::kKnn) {
+    return tree.Knn(spec.point, spec.k, deliver, io, extra...);
+  }
+  return DispatchWindow<D>(
+      spec,
+      [&](const auto& pred) {
+        return tree.TraverseWindowEmit(spec.window, pred, deliver, io,
+                                       scratch, extra...);
+      },
+      probe);
 }
 
 template <int D>
@@ -463,38 +476,7 @@ class MemoryBackend final : public QueryBackend<D> {
     // Snapshots are ignored: the in-memory tree is single-version, and
     // under its read-path contract (no concurrent writer) the latest
     // state is the snapshot.
-    if (spec.kind == QueryKind::kKnn) {
-      return KnnSearch<D>(
-          *tree_, spec.point, spec.k,
-          [sink, probe](const KnnNeighbor<D>& n) {
-            if (sink == nullptr) return;
-            if (probe != nullptr) {
-              const uint64_t t0 = obs::NowNs();
-              sink->OnNeighbor(n);
-              probe->sink_ns += obs::NowNs() - t0;
-            } else {
-              sink->OnNeighbor(n);
-            }
-          },
-          io);
-    }
-    auto emit = [sink, probe](ObjectId id) {
-      if (sink == nullptr) return;
-      if (probe != nullptr) {
-        const uint64_t t0 = obs::NowNs();
-        sink->OnMatch(id);
-        probe->sink_ns += obs::NowNs() - t0;
-      } else {
-        sink->OnMatch(id);
-      }
-    };
-    return DispatchWindow<D>(
-        spec,
-        [&]<bool kImplies>(auto pred) {
-          return tree_->template TraverseWindowEmit<kImplies>(
-              spec.window, pred, emit, io, scratch);
-        },
-        probe);
+    return RunSpec<D>(*tree_, spec, sink, io, scratch, probe);
   }
 
  private:
@@ -532,38 +514,7 @@ class PagedBackend final : public QueryBackend<D> {
         (snap != nullptr && snap->valid())
             ? static_cast<const Snapshot<D>*>(snap->raw())
             : nullptr;
-    if (spec.kind == QueryKind::kKnn) {
-      return tree_->Knn(
-          spec.point, spec.k,
-          [sink, probe](const KnnNeighbor<D>& n) {
-            if (sink == nullptr) return;
-            if (probe != nullptr) {
-              const uint64_t t0 = obs::NowNs();
-              sink->OnNeighbor(n);
-              probe->sink_ns += obs::NowNs() - t0;
-            } else {
-              sink->OnNeighbor(n);
-            }
-          },
-          io, status, pin);
-    }
-    auto emit = [sink, probe](ObjectId id) {
-      if (sink == nullptr) return;
-      if (probe != nullptr) {
-        const uint64_t t0 = obs::NowNs();
-        sink->OnMatch(id);
-        probe->sink_ns += obs::NowNs() - t0;
-      } else {
-        sink->OnMatch(id);
-      }
-    };
-    return DispatchWindow<D>(
-        spec,
-        [&]<bool kImplies>(auto pred) {
-          return tree_->template TraverseWindowEmit<kImplies>(
-              spec.window, pred, emit, io, scratch, status, pin);
-        },
-        probe);
+    return RunSpec<D>(*tree_, spec, sink, io, scratch, probe, status, pin);
   }
 
  private:

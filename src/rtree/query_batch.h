@@ -1,23 +1,17 @@
-// Batched query execution: run many windows through one traversal engine
-// with reusable per-thread state and locality-aware scheduling.
+// Batched query execution: the scheduling primitives every batch path
+// shares.
 //
-// Three pieces. QueryContext owns a TraversalScratch (DFS stack +
-// candidate bitmask) sized once for the tree, so every query it runs is
-// allocation-free — the fix for the hot path allocating a fresh stack per
-// query. HilbertOrderBy supplies the locality schedule: queries are
-// visited in Hilbert order of their centers, so consecutive queries
-// touch overlapping subtrees and the node pages + clip arena stay hot in
-// cache. Counts are written back in input order; totals and per-query
-// results are identical to running each query alone.
-//
-// The multithreaded fan-out is factored into ForEachChunked: workers pull
-// contiguous chunks of the (Hilbert-ordered) schedule, so each worker
-// keeps its own spatial locality, and every worker owns its context and
+// HilbertOrderBy supplies the locality schedule: queries are visited in
+// Hilbert order of their centers, so consecutive queries touch
+// overlapping subtrees and the node pages + clip arena stay hot in cache.
+// ForEachChunked is the multithreaded fan-out: workers pull contiguous
+// chunks of the (Hilbert-ordered) schedule, so each worker keeps its own
+// spatial locality, and every worker owns its TraversalScratch and
 // IoStats — counters accumulate per thread and are summed once at the
-// end, exact and race-free. SpatialEngine::ExecuteBatch
-// (rtree/query_api.h) drives both the in-memory and the disk-resident
-// engine through these primitives; the RunQueryBatch free function
-// survives below as a deprecated shim.
+// end, exact and race-free. Counts are written back in input order;
+// totals and per-query results are identical to running each query
+// alone. SpatialEngine::ExecuteBatch (rtree/query_api.h) drives both the
+// in-memory and the disk-resident engine through these primitives.
 #ifndef CLIPBB_RTREE_QUERY_BATCH_H_
 #define CLIPBB_RTREE_QUERY_BATCH_H_
 
@@ -29,36 +23,11 @@
 #include <vector>
 
 #include "geom/hilbert.h"
-#include "rtree/rtree.h"
+#include "geom/rect.h"
+#include "storage/io_stats.h"
 #include "storage/status.h"
 
 namespace clipbb::rtree {
-
-/// Reusable single-thread query state bound to one tree. Construct once,
-/// run many queries; no per-query allocation.
-template <int D>
-class QueryContext {
- public:
-  explicit QueryContext(const RTree<D>& tree) : tree_(&tree) {
-    scratch_.Reserve(tree.Height(), tree.options().max_entries);
-  }
-
-  size_t RangeQuery(const geom::Rect<D>& q, std::vector<ObjectId>* out,
-                    storage::IoStats* io = nullptr) {
-    return tree_->RangeQuery(q, out, io, &scratch_);
-  }
-
-  size_t RangeCount(const geom::Rect<D>& q, storage::IoStats* io = nullptr) {
-    return tree_->RangeQuery(q, nullptr, io, &scratch_);
-  }
-
-  const RTree<D>& tree() const { return *tree_; }
-  TraversalScratch* scratch() { return &scratch_; }
-
- private:
-  const RTree<D>* tree_;
-  TraversalScratch scratch_;
-};
 
 struct QueryBatchOptions {
   /// Schedule queries in Hilbert order of their centers (locality). Counts
@@ -150,64 +119,6 @@ std::vector<uint32_t> HilbertQueryOrder(const geom::Rect<D>& bounds,
                                         std::span<const geom::Rect<D>> queries) {
   return HilbertOrderBy<D>(bounds, queries.size(),
                            [&](size_t i) { return queries[i].Center(); });
-}
-
-namespace batch_internal {
-
-/// Implementation of the rect-window batch — kept callable without a
-/// deprecation warning so the RunQueryBatch/BatchRangeCount shims can
-/// forward to it. New code runs batches through
-/// SpatialEngine::ExecuteBatch (rtree/query_api.h), which serves
-/// QuerySpec batches on both engines through this same scheduling.
-template <int D>
-QueryBatchResult RunQueryBatchCore(const RTree<D>& tree,
-                                   std::span<const geom::Rect<D>> queries,
-                                   const QueryBatchOptions& opts = {}) {
-  QueryBatchResult result;
-  result.counts.assign(queries.size(), 0);
-  if (queries.empty()) return result;
-
-  std::vector<uint32_t> order;
-  if (opts.hilbert_order) {
-    order = HilbertQueryOrder<D>(tree.bounds(), queries);
-  } else {
-    order.resize(queries.size());
-    std::iota(order.begin(), order.end(), 0u);
-  }
-
-  const unsigned threads = ResolveBatchThreads(opts.threads, queries.size());
-
-  if (threads == 1) {
-    QueryContext<D> ctx(tree);
-    for (uint32_t qi : order) {
-      result.counts[qi] = ctx.RangeCount(queries[qi], &result.io);
-    }
-    return result;
-  }
-
-  // Hand out contiguous runs of the Hilbert order so each worker keeps its
-  // own locality; per-thread I/O is summed at the end.
-  std::vector<QueryContext<D>> contexts(threads, QueryContext<D>(tree));
-  std::vector<storage::IoStats> per_thread(threads);
-  ForEachChunked(order.size(), threads, [&](unsigned t, size_t i) {
-    const uint32_t qi = order[i];
-    result.counts[qi] = contexts[t].RangeCount(queries[qi], &per_thread[t]);
-  });
-  for (const auto& io : per_thread) result.io += io;
-  return result;
-}
-
-}  // namespace batch_internal
-
-/// Runs every window as a range count through reusable contexts.
-template <int D>
-[[deprecated(
-    "use SpatialEngine::ExecuteBatch with QuerySpec::Intersects specs "
-    "(rtree/query_api.h)")]]
-QueryBatchResult RunQueryBatch(const RTree<D>& tree,
-                               std::span<const geom::Rect<D>> queries,
-                               const QueryBatchOptions& opts = {}) {
-  return batch_internal::RunQueryBatchCore<D>(tree, queries, opts);
 }
 
 }  // namespace clipbb::rtree

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -27,19 +26,11 @@
 #include "rtree/node.h"
 #include "rtree/options.h"
 #include "rtree/soa.h"
+#include "rtree/traverse.h"
 #include "storage/io_stats.h"
 #include "storage/page_store.h"
 
 namespace clipbb::rtree {
-
-/// Leaf predicate tag for plain range queries: window intersection alone
-/// decides membership, so the traversal skips the per-entry callback.
-struct MatchAllPred {
-  template <typename RectT>
-  constexpr bool operator()(const RectT&) const {
-    return true;
-  }
-};
 
 /// Why a node was re-clipped (Fig. 12 breakdown).
 enum class ReclipCause { kSplit, kMbbChange, kCbbChange };
@@ -127,7 +118,13 @@ class RTree {
   size_t RangeQuery(const RectT& q, std::vector<ObjectId>* out,
                     storage::IoStats* io = nullptr,
                     TraversalScratch* scratch = nullptr) const {
-    return TraverseWindow<false>(q, MatchAllPred{}, out, io, scratch);
+    if (out) {
+      return TraverseWindowEmit(
+          q, MatchAllPred{}, [out](ObjectId id) { out->push_back(id); }, io,
+          scratch);
+    }
+    return TraverseWindowEmit(q, MatchAllPred{}, [](ObjectId) {}, io,
+                              scratch);
   }
 
   size_t RangeCount(const RectT& q, storage::IoStats* io = nullptr,
@@ -135,127 +132,33 @@ class RTree {
     return RangeQuery(q, nullptr, io, scratch);
   }
 
-  /// Shared window traversal all query types run on. Visits leaf entries
-  /// that intersect `window` AND satisfy `pred`; when `PredImpliesIntersect`
-  /// the explicit intersection test is skipped on the scalar path (the
-  /// predicate already implies it — point/containment/enclosure cases).
-  /// Uses the flat SoA mirror + IntersectsAll bitmask kernel whenever the
-  /// accelerator is fresh; falls back to the AoS scan otherwise. Both paths
-  /// visit nodes in identical order and produce identical results and I/O
-  /// counts. A null `scratch` allocates a per-call stack (batch callers
-  /// pass a reused one). Results go to the optional `out` vector; result
-  /// sinks and other delivery styles use TraverseWindowEmit directly.
-  template <bool PredImpliesIntersect, typename Pred>
-  size_t TraverseWindow(const RectT& window, Pred&& pred,
-                        std::vector<ObjectId>* out, storage::IoStats* io,
-                        TraversalScratch* scratch = nullptr) const {
-    if (out) {
-      return TraverseWindowEmit<PredImpliesIntersect>(
-          window, std::forward<Pred>(pred),
-          [out](ObjectId id) { out->push_back(id); }, io, scratch);
-    }
-    return TraverseWindowEmit<PredImpliesIntersect>(
-        window, std::forward<Pred>(pred), [](ObjectId) {}, io, scratch);
-  }
-
-  /// TraverseWindow with a per-result callback instead of an out vector —
-  /// the primitive the unified query API (rtree/query_api.h) drives result
-  /// sinks through. `emit(ObjectId)` is invoked once per matching leaf
-  /// entry, in visit order. Traversal, results, and I/O accounting are
-  /// identical to TraverseWindow.
-  template <bool PredImpliesIntersect, typename Pred, typename Emit>
-  size_t TraverseWindowEmit(const RectT& window, Pred&& pred, Emit&& emit,
-                            storage::IoStats* io,
+  /// The window traversal every window query kind runs on
+  /// (rtree/traverse.h): `emit(ObjectId)` fires once per leaf entry that
+  /// intersects `window` and satisfies `pred`, in visit order. A null
+  /// `scratch` allocates a per-call stack (batch callers pass a reused
+  /// one).
+  template <typename Pred, typename Emit>
+  size_t TraverseWindowEmit(const RectT& window, const Pred& pred,
+                            Emit&& emit, storage::IoStats* io,
                             TraversalScratch* scratch = nullptr) const {
-    constexpr bool kMatchAll = std::is_same_v<std::decay_t<Pred>, MatchAllPred>;
     TraversalScratch local;
     if (!scratch) {
       scratch = &local;
       local.Reserve(Height(), opts_.max_entries);
     }
-    const bool use_soa = AccelFresh();
-    auto& stack = scratch->stack;
-    stack.clear();
-    stack.push_back(root_);
-    size_t found = 0;
-    while (!stack.empty()) {
-      const PageId id = stack.back();
-      stack.pop_back();
-      const NodeT& n = store_.At(id);
-      if (n.IsLeaf()) {
-        if (io) ++io->leaf_accesses;
-        bool contributed = false;
-        if (use_soa) {
-          const SoaNodeView<D> v = soa_.NodeView(id);
-          uint64_t* mask = scratch->MaskFor(v.n);
-          IntersectsAll<D>(v, window, mask, scratch->FlagsFor(v.n));
-          for (uint32_t w = 0; w * 64 < v.n; ++w) {
-            uint64_t m = mask[w];
-            while (m) {
-              const uint32_t i =
-                  w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-              m &= m - 1;
-              if (kMatchAll || pred(n.entries[i].rect)) {
-                ++found;
-                contributed = true;
-                emit(static_cast<ObjectId>(v.id[i]));
-              }
-            }
-          }
-        } else {
-          for (const EntryT& e : n.entries) {
-            const bool hit = PredImpliesIntersect
-                                 ? pred(e.rect)
-                                 : (e.rect.Intersects(window) &&
-                                    (kMatchAll || pred(e.rect)));
-            if (hit) {
-              ++found;
-              contributed = true;
-              emit(e.id);
-            }
-          }
-        }
-        if (io && contributed) ++io->contributing_leaf_accesses;
-      } else {
-        if (io) ++io->internal_accesses;
-        if (use_soa) {
-          const SoaNodeView<D> v = soa_.NodeView(id);
-          uint64_t* mask = scratch->MaskFor(v.n);
-          IntersectsAll<D>(v, window, mask, scratch->FlagsFor(v.n));
-          // Same push order as the scalar loop (ascending entry index), so
-          // both paths traverse and emit results identically.
-          for (uint32_t w = 0; w * 64 < v.n; ++w) {
-            uint64_t m = mask[w];
-            while (m) {
-              const uint32_t i =
-                  w * 64 + static_cast<uint32_t>(std::countr_zero(m));
-              m &= m - 1;
-              const int64_t child = v.id[i];
-              if (clipping_) {
-                if (io) ++io->clip_accesses;
-                if (core::ClipsPruneQuery<D>(clip_index_.Get(child),
-                                             window)) {
-                  continue;
-                }
-              }
-              stack.push_back(child);
-            }
-          }
-        } else {
-          for (const EntryT& e : n.entries) {
-            if (!e.rect.Intersects(window)) continue;
-            if (clipping_) {
-              if (io) ++io->clip_accesses;
-              if (core::ClipsPruneQuery<D>(clip_index_.Get(e.id), window)) {
-                continue;
-              }
-            }
-            stack.push_back(e.id);
-          }
-        }
-      }
-    }
-    return found;
+    MemorySource src(*this);
+    return TraverseWindow<D>(src, window, pred, std::forward<Emit>(emit), io,
+                             scratch);
+  }
+
+  /// k nearest objects to `q` (rtree/traverse.h KnnBestFirst): emits
+  /// `emit(const KnnNeighbor<D>&)` per neighbour, ascending; returns the
+  /// number emitted.
+  template <typename Emit>
+  size_t Knn(const geom::Vec<D>& q, int k, Emit&& emit,
+             storage::IoStats* io = nullptr) const {
+    MemorySource src(*this);
+    return KnnBestFirst<D>(src, q, k, std::forward<Emit>(emit), io);
   }
 
   // -------------------------------------------------------------- clipping
@@ -918,6 +821,62 @@ class RTree {
     }
     clip_seconds_ += wall.ElapsedSeconds();
   }
+
+  /// Node source of the shared traversals (rtree/traverse.h): nodes
+  /// straight from the store, read through the SoA mirror while the
+  /// accelerator is fresh (the vectorised IntersectsAll mask, contiguous
+  /// ids and coordinates) and through the AoS entries once an update made
+  /// it stale. Both give the same ids, distances and mask bits.
+  struct MemorySource {
+    struct View {
+      const NodeT* node = nullptr;
+      SoaNodeView<D> soa;  // n == 0 while the accelerator is stale
+      bool fresh = false;
+      uint32_t n() const { return static_cast<uint32_t>(node->entries.size()); }
+      bool IsLeaf() const { return node->IsLeaf(); }
+      int64_t Id(uint32_t i) const {
+        return fresh ? soa.id[i] : node->entries[i].id;
+      }
+      const RectT& EntryRect(uint32_t i) const {
+        return node->entries[i].rect;
+      }
+      double MinDist2(uint32_t i, const geom::Vec<D>& q) const {
+        return fresh ? SoaMinDist2<D>(soa, i, q)
+                     : core::MinDist2<D>(q, node->entries[i].rect);
+      }
+      const uint64_t* Mask(const RectT& w, TraversalScratch* s) const {
+        uint64_t* mask = s->MaskFor(n());
+        if (fresh) {
+          IntersectsAll<D>(soa, w, mask, s->FlagsFor(n()));
+          return mask;
+        }
+        for (uint32_t i = 0; i * 64 < n(); ++i) mask[i] = 0;
+        for (uint32_t i = 0; i < n(); ++i) {
+          mask[i >> 6] |= static_cast<uint64_t>(EntryRect(i).Intersects(w))
+                          << (i & 63);
+        }
+        return mask;
+      }
+    };
+
+    explicit MemorySource(const RTree& t) : tree(&t), fresh(t.AccelFresh()) {}
+    int64_t root() const { return tree->root_; }
+    bool clipped() const { return tree->clipping_; }
+    bool Acquire(int64_t id, View* v) const {
+      v->node = &tree->store_.At(id);
+      v->fresh = fresh;
+      if (fresh) v->soa = tree->soa_.NodeView(id);
+      return true;
+    }
+    void Release(int64_t) const {}
+    bool ChildOk(int64_t, int64_t) const { return true; }
+    std::span<const core::ClipPoint<D>> Clips(int64_t child) const {
+      return tree->clip_index_.Get(child);
+    }
+
+    const RTree* tree;
+    bool fresh;
+  };
 
   using Timer = clipbb::Timer;
 

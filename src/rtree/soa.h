@@ -7,9 +7,11 @@
 // by page id), so testing a window against every entry of a node is a
 // straight-line pass over dense doubles that the compiler can vectorise —
 // no pointer chasing, no short-circuit branches. The matrix is rebuilt in
-// one pass (RTree::RefreshAccel) and version-checked: queries fall back to
-// the AoS path transparently whenever the tree has mutated since the last
-// build, so results are always identical.
+// one pass (RTree::RefreshAccel) and version-checked: while the tree has
+// mutated since the last build, the in-memory node source of
+// rtree/traverse.h reads the AoS entries instead, so results are always
+// identical. The paged engine runs the same kernels (IntersectsAll,
+// SoaMinDist2) over SoaNodeViews of its pinned page bytes.
 #ifndef CLIPBB_RTREE_SOA_H_
 #define CLIPBB_RTREE_SOA_H_
 
@@ -155,8 +157,8 @@ inline double SoaMinDist2(const SoaNodeView<D>& v, uint32_t i,
 }
 
 /// Reusable per-traversal storage: the DFS stack and the candidate bitmask.
-/// A context owns one of these per thread so a batch of queries runs with
-/// zero per-query allocation.
+/// A batch owns one of these per worker thread, so a stream of queries
+/// runs with zero per-query allocation.
 struct TraversalScratch {
   std::vector<storage::PageId> stack;
   std::vector<uint64_t> mask;

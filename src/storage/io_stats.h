@@ -8,8 +8,8 @@
 // crash recovery.
 //
 // Concurrency contract: an IoStats is deliberately plain counters, never
-// shared between threads. Multithreaded paths (rtree/batch.h,
-// rtree/query_batch.h, PagedRTree::RunBatch) give every worker its own
+// shared between threads. Multithreaded paths (SpatialEngine::ExecuteBatch
+// over rtree/query_batch.h's ForEachChunked) give every worker its own
 // instance and combine with operator+= after the join — accumulate
 // per-thread, sum once, exact totals with no atomics on the hot path.
 #ifndef CLIPBB_STORAGE_IO_STATS_H_

@@ -1,12 +1,6 @@
 // The unified query API: QuerySpec construction, result-sink delivery,
 // SpatialEngine::Execute / ::ExecuteBatch over both backends, the
-// count-only fast path, the move-free kNN sink contract, and one
-// pragma-guarded check that the deprecated shims still answer correctly.
-//
-// This target is additionally compiled with -Werror=deprecated-declarations
-// (see CMakeLists.txt): any use of the pre-unification surface outside the
-// explicit shim test below fails the build, which is the in-tree guard
-// that no caller quietly keeps using the deprecated entry points.
+// count-only fast path, and the move-free kNN sink contract.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "rtree/batch.h"
 #include "rtree/factory.h"
-#include "rtree/queries.h"
 #include "rtree/query_api.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -288,61 +280,6 @@ TEST(SpatialEngine, ReportsBackendMetadata) {
   EXPECT_FALSE(SpatialEngine<2>().valid());
   EXPECT_TRUE(f.memory.valid());
 }
-
-// The deprecated shims must keep answering correctly for the one PR they
-// survive. This block is the only in-tree user; everything else compiles
-// under -Werror=deprecated-declarations.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedShims, StillAnswerExactlyLikeTheEngine) {
-  BothEngines f(Variant::kRStar, 1500, 50, /*clipped=*/true, "shims");
-  Rng rng(51);
-  const geom::Vec<2> p = RandomPoint<2>(rng);
-  const geom::Rect<2> w = RandomRect<2>(rng, 0.25);
-
-  std::vector<ObjectId> shim_ids, engine_ids;
-  CollectIds<2> sink(&engine_ids);
-
-  EXPECT_EQ(PointQuery<2>(*f.tree, p, &shim_ids),
-            f.memory.Execute(QuerySpec<2>::ContainsPoint(p), &sink));
-  EXPECT_EQ(shim_ids, engine_ids);
-
-  shim_ids.clear();
-  engine_ids.clear();
-  EXPECT_EQ(ContainedInQuery<2>(*f.tree, w, &shim_ids),
-            f.memory.Execute(QuerySpec<2>::ContainedIn(w), &sink));
-  EXPECT_EQ(shim_ids, engine_ids);
-
-  shim_ids.clear();
-  engine_ids.clear();
-  EXPECT_EQ(EnclosureQuery<2>(*f.tree, w, &shim_ids),
-            f.memory.Execute(QuerySpec<2>::Encloses(w), &sink));
-  EXPECT_EQ(shim_ids, engine_ids);
-
-  const auto shim_knn = KnnQuery<2>(*f.tree, p, 6);
-  const auto paged_knn = f.paged.Knn(p, 6);  // deprecated by-value form
-  std::vector<KnnNeighbor<2>> engine_knn;
-  KnnHeapSink<2> knn_sink(&engine_knn);
-  f.disk.Execute(QuerySpec<2>::Knn(p, 6), &knn_sink);
-  ASSERT_EQ(shim_knn.size(), engine_knn.size());
-  ASSERT_EQ(paged_knn.size(), engine_knn.size());
-  for (size_t i = 0; i < shim_knn.size(); ++i) {
-    EXPECT_DOUBLE_EQ(shim_knn[i].dist2, engine_knn[i].dist2);
-    EXPECT_DOUBLE_EQ(paged_knn[i].dist2, engine_knn[i].dist2);
-  }
-
-  std::vector<geom::Rect<2>> windows;
-  for (int i = 0; i < 50; ++i) windows.push_back(RandomRect<2>(rng, 0.2));
-  const QueryBatchResult via_shim = RunQueryBatch<2>(*f.tree, windows);
-  const QueryBatchResult via_paged_shim = f.paged.RunBatch(windows);
-  const BatchResult via_batch_shim = BatchRangeCount<2>(*f.tree, windows, 2);
-  const QueryBatchResult via_engine =
-      f.memory.ExecuteBatch(std::span<const geom::Rect<2>>(windows));
-  EXPECT_EQ(via_shim.counts, via_engine.counts);
-  EXPECT_EQ(via_paged_shim.counts, via_engine.counts);
-  EXPECT_EQ(via_batch_shim.counts, via_engine.counts);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace clipbb::rtree

@@ -79,9 +79,7 @@ TEST(CbbMinDist2, Admissible3d) {
 
 class KnnTest : public ::testing::TestWithParam<Variant> {};
 
-/// Collects KnnSearch results — the test-local stand-in for the old
-/// by-value entry point (now a deprecated shim covered by
-/// engine_api_test).
+/// Collects KnnSearch results into a vector.
 template <int D>
 std::vector<KnnNeighbor<D>> Knn(const RTree<D>& tree, const Vec<D>& q,
                                 int k, storage::IoStats* io = nullptr) {

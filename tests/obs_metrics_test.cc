@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -123,6 +124,43 @@ uint64_t SampleValue(
   return ~uint64_t{0};
 }
 
+/// Checks a text exposition against the one-TYPE-per-family rule: each
+/// family has exactly one `# TYPE` line, ahead of all of its samples, and
+/// its samples form one contiguous block. A sample belongs to the family
+/// of its base name — or, for `_count`/`_sum`, to the summary it ends.
+/// Returns the number of families seen.
+size_t ExpectOneTypePerFamily(const std::string& text) {
+  std::map<std::string, std::string> type_of;
+  std::string current;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      std::string family, type;
+      fields >> family >> type;
+      EXPECT_EQ(type_of.count(family), 0u) << "second TYPE line: " << line;
+      type_of[family] = type;
+      current = family;
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    std::string family = line.substr(0, line.find_first_of("{ "));
+    for (const char* suffix : {"_count", "_sum"}) {
+      const std::string sfx(suffix);
+      if (family.size() > sfx.size() &&
+          family.compare(family.size() - sfx.size(), sfx.size(), sfx) == 0) {
+        const std::string owner = family.substr(0, family.size() - sfx.size());
+        auto it = type_of.find(owner);
+        if (it != type_of.end() && it->second == "summary") family = owner;
+      }
+    }
+    EXPECT_EQ(type_of.count(family), 1u) << "sample without TYPE: " << line;
+    EXPECT_EQ(family, current) << "sample outside its family block: " << line;
+  }
+  return type_of.size();
+}
+
 TEST(MetricsRegistry, RenderTextRoundTrips) {
   MetricsRegistry reg;
   reg.SetCounter("queries_total", 432);
@@ -151,9 +189,38 @@ TEST(MetricsRegistry, RenderTextRoundTrips) {
   const std::string text = reg.RenderText();
   EXPECT_NE(text.find("# TYPE pool_pins_total counter"), std::string::npos);
   EXPECT_NE(text.find("# TYPE query_ns summary"), std::string::npos);
+  ExpectOneTypePerFamily(text);
 
   reg.Reset();
   EXPECT_TRUE(reg.RenderText().empty());
+}
+
+TEST(MetricsRegistry, RenderTextHasOneTypeLinePerFamily) {
+  MetricsRegistry reg;
+  reg.SetCounter("replica_rebases_total{path=\"fast\"}", 3);
+  reg.SetCounter("replica_rebases_total{path=\"full\"}", 1);
+  reg.SetCounter("pool_pins_total{outcome=\"hit\"}", 17);
+  reg.SetCounter("pool_pins_total{outcome=\"miss\"}", 4);
+  // Sorted by full name, `wal_bytes_x` lands between the unlabelled and
+  // the labelled series of `wal_bytes` ('_' < '{').
+  reg.SetGauge("wal_bytes", 1);
+  reg.SetGauge("wal_bytes_x", 2);
+  reg.SetGauge("wal_bytes{shard=\"0\"}", 3);
+  Histogram h;
+  h.Record(1000);
+  reg.SetHistogram("query_ns{kind=\"intersects\"}", h);
+  reg.SetHistogram("query_ns{kind=\"knn\"}", h);
+  const std::string text = reg.RenderText();
+  // replica_rebases_total, pool_pins_total, wal_bytes, wal_bytes_x,
+  // query_ns and query_ns_max.
+  EXPECT_EQ(ExpectOneTypePerFamily(text), 6u) << text;
+  // Every series still renders.
+  const auto samples = ParseExposition(text);
+  EXPECT_EQ(SampleValue(samples, "replica_rebases_total{path=\"full\"}"), 1u);
+  EXPECT_EQ(SampleValue(samples, "wal_bytes{shard=\"0\"}"), 3u);
+  EXPECT_EQ(SampleValue(samples, "query_ns_count{kind=\"knn\"}"), 1u);
+  EXPECT_EQ(SampleValue(samples, "query_ns_max{kind=\"knn\"}"),
+            h.max());
 }
 
 TEST(MetricsRegistry, RenderJsonIsWellFormedEnough) {

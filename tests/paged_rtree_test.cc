@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "rtree/factory.h"
+#include "rtree/knn.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_api.h"
 #include "test_util.h"

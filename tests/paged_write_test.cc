@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -282,6 +284,64 @@ TEST_P(PagedWrite, UpdateClipsEnablesClippingOnLivePagedTree) {
   EXPECT_EQ(reader.clip_index().TotalClipPoints(),
             ref->clip_index().TotalClipPoints());
   ExpectQueryParity<2>(*ref, reader, 921, 40);
+}
+
+/// The file's page 0 as raw bytes.
+std::vector<char> ReadFilePage0(const std::string& path, size_t page_size) {
+  std::vector<char> page(page_size);
+  std::ifstream in(path, std::ios::binary);
+  in.read(page.data(), static_cast<std::streamsize>(page_size));
+  EXPECT_TRUE(in.good()) << path;
+  return page;
+}
+
+// The superblock describes the data pages, so it must never reach the
+// file ahead of them: page 0 is written only by a checkpoint, after the
+// data pages are synced. A tiny pool plus a whole-tree query after every
+// op forces evictions of everything the op staged; the file's page 0 must
+// stay byte-equal to the last checkpoint's image.
+TEST(PagedWriteSuperblock, FilePageZeroChangesOnlyAtCheckpoints) {
+  Rng rng(4242);
+  std::vector<Entry<2>> items;
+  for (int i = 0; i < 1500; ++i) {
+    items.push_back(Entry<2>{RandomRect<2>(rng, 0.04), i});
+  }
+  auto initial = BuildTree<2>(Variant::kRStar, items, Domain<2>());
+  initial->EnableClipping(core::ClipConfig<2>::Sta());
+  FileGuard file(TempPath("page0"));
+  ASSERT_TRUE(WritePagedTree<2>(*initial, file.path));
+
+  PagedRTree<2> paged;
+  PagedRTree<2>::OpenOptions wopts;
+  wopts.mode = PagedRTree<2>::OpenMode::kReadWrite;
+  wopts.pool_pages = 16;
+  ASSERT_TRUE(paged.Open(file.path, wopts,
+                         MakeRTree<2>(Variant::kRStar, Domain<2>())));
+  const size_t ps = paged.superblock().file_page_size;
+  std::vector<char> image = ReadFilePage0(file.path, ps);
+  uint32_t gen = paged.superblock().checkpoint_gen;
+
+  const auto ops = MakeOps<2>(items, 400, 4243);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Op<2>& op = ops[i];
+    ASSERT_TRUE(op.is_insert ? paged.Insert(op.rect, op.id)
+                             : paged.Delete(op.rect, op.id));
+    EXPECT_EQ(paged.RangeCount(Domain<2>()), paged.NumObjects());
+    EXPECT_FALSE(paged.pool().Resident(0)) << "op " << i;
+    ASSERT_EQ(ReadFilePage0(file.path, ps), image)
+        << "page 0 reached the file outside a checkpoint at op " << i;
+    if (i % 100 == 99) {
+      ASSERT_TRUE(paged.Checkpoint());
+      image = ReadFilePage0(file.path, ps);
+      Superblock on_file{};
+      std::memcpy(&on_file, image.data(), sizeof on_file);
+      EXPECT_EQ(on_file.checkpoint_gen, ++gen);
+      EXPECT_EQ(on_file.lsn, paged.superblock().lsn);
+      EXPECT_EQ(on_file.last_op_seq, paged.last_committed_op());
+    }
+  }
+  EXPECT_GT(paged.pool().evictions(), 0u);  // the pool really churned
+  EXPECT_FALSE(paged.io_error());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, PagedWrite,

@@ -210,12 +210,12 @@ TEST(QueriesParity, UpdatesAfterRefreshFallBackCorrectly) {
 /// Every QuerySpec kind through SpatialEngine over the in-memory tree
 /// and its paged twin: results must match element for element (identical
 /// visit order, not just identical sets), logical I/O must match counter
-/// for counter, and kNN distances must match exactly.
+/// for counter, and kNN ids and distances must match exactly. The
+/// in-memory side runs twice: as built (insert-built variants leave the
+/// SoA accelerator stale, so masks come from the AoS entries) and after
+/// RefreshAccel (the SoA kernel).
 template <int D>
-void CheckEngineParity(Variant v, bool clipped, uint64_t seed) {
-  Fixture<D> f(v, 1000, seed);
-  if (clipped) f.tree->EnableClipping(core::ClipConfig<D>::Sta());
-
+void CheckEngineParityOnce(const Fixture<D>& f, uint64_t seed) {
   const testing::TempFileGuard file(testing::TempPagePath("parity"));
   ASSERT_TRUE(WritePagedTree<D>(*f.tree, file.path));
   PagedRTree<D> paged;
@@ -248,7 +248,8 @@ void CheckEngineParity(Variant v, bool clipped, uint64_t seed) {
       EXPECT_EQ(nm, nd);
       ASSERT_EQ(mem_nn.size(), disk_nn.size());
       for (size_t i = 0; i < mem_nn.size(); ++i) {
-        EXPECT_DOUBLE_EQ(mem_nn[i].dist2, disk_nn[i].dist2);
+        EXPECT_EQ(mem_nn[i].id, disk_nn[i].id) << "neighbour " << i;
+        EXPECT_EQ(mem_nn[i].dist2, disk_nn[i].dist2) << "neighbour " << i;
       }
     } else {
       std::vector<ObjectId> mem_ids, disk_ids;
@@ -290,6 +291,18 @@ void CheckEngineParity(Variant v, bool clipped, uint64_t seed) {
   }
 
   paged.Close();
+}
+
+template <int D>
+void CheckEngineParity(Variant v, bool clipped, uint64_t seed) {
+  Fixture<D> f(v, 1000, seed);
+  if (clipped) f.tree->EnableClipping(core::ClipConfig<D>::Sta());
+  for (const bool refresh : {false, true}) {
+    if (refresh) f.tree->RefreshAccel();
+    SCOPED_TRACE(f.tree->AccelFresh() ? "accelerator fresh"
+                                      : "accelerator stale");
+    CheckEngineParityOnce<D>(f, seed);
+  }
 }
 
 class EngineParity : public ::testing::TestWithParam<Variant> {};

@@ -1,4 +1,4 @@
-// Tests for the batched traversal layer: QueryContext reuse, Hilbert
+// Tests for the batched traversal layer: TraversalScratch reuse, Hilbert
 // scheduling, and SpatialEngine::ExecuteBatch parity with one-at-a-time
 // execution.
 #include <gtest/gtest.h>
@@ -99,16 +99,20 @@ TEST(QueryBatch, MixedSpecKindsShareOneSchedule) {
   EXPECT_EQ(r.counts, expected);
 }
 
-TEST(QueryBatch, ContextReuseAcrossManyQueries) {
+TEST(QueryBatch, ScratchReuseAcrossManyQueries) {
   Fixture<2> f(Variant::kRStar, 1500, 0, 8);
   f.tree->RefreshAccel();
-  QueryContext<2> ctx(*f.tree);
+  TraversalScratch scratch;
+  scratch.Reserve(f.tree->Height(), f.tree->options().max_entries);
   Rng rng(77);
   for (int i = 0; i < 300; ++i) {
     const geom::Rect<2> q = testing::RandomRect<2>(rng, 0.15);
-    std::vector<ObjectId> via_ctx, via_tree;
-    EXPECT_EQ(ctx.RangeQuery(q, &via_ctx), f.tree->RangeQuery(q, &via_tree));
-    EXPECT_EQ(via_ctx, via_tree);
+    std::vector<ObjectId> via_scratch, via_tree;
+    storage::IoStats io_scratch, io_tree;
+    EXPECT_EQ(f.tree->RangeQuery(q, &via_scratch, &io_scratch, &scratch),
+              f.tree->RangeQuery(q, &via_tree, &io_tree));
+    EXPECT_EQ(via_scratch, via_tree);
+    EXPECT_EQ(io_scratch.TotalAccesses(), io_tree.TotalAccesses());
   }
 }
 
