@@ -1,21 +1,19 @@
 // Fig. 15: query time on the scaled-up synthetic datasets with the index
 // larger than memory. The paper uses 2^30 objects on a 500 GB HDD; we use
-// 2^20 objects (CLIPBB_SCALE multiplies) and model the cold disk with an
-// LRU buffer pool holding 10 % of the pages. Two modes per row:
-//
-//   sim    the original model — the pool only tracks residency and the
-//          bench charges a synthetic HDD latency (8 ms) per miss;
-//   paged  (with --paged) the real thing — the tree is serialized to a
-//          page file and queried disk-resident through PagedRTree, so
-//          "page reads" are physical preads through the buffer pool and
-//          the time is measured, not simulated.
+// 2^20 objects (CLIPBB_SCALE multiplies). Each tree is serialized to a page
+// file and queried disk-resident through PagedRTree, behind a cold LRU
+// buffer pool holding 10 % of the tree's node pages (ColdPoolPages in
+// common.h: clipped and unclipped trees get the same frame budget). "page
+// reads" are physical preads through the pool and the time is measured;
+// the "8 ms/miss model" column is the paper's cold-disk cost model, page
+// reads × 8 ms per query.
 //
 // Reported: average per-query time for HR-tree and RR*-tree, unclipped vs
 // CSKY vs CSTA, under the paper-faithful workload schedule and the
 // Hilbert-ordered batch schedule (pool misses are order-dependent, so the
 // locality win is its own row, never mixed into the paper numbers).
 //
-// With --paged --threads=N an extra "paged-mtN" row runs the same batch
+// With --threads=N an extra "paged-mtN" row runs the same batch
 // through SpatialEngine::ExecuteBatch (rtree/query_api.h) over an
 // N-way-sharded buffer pool with N workers — the "heavy traffic, many
 // cores, disk-resident" scenario. The
@@ -35,7 +33,6 @@
 #include "obs/trace.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_api.h"
-#include "storage/buffer_pool.h"
 
 namespace clipbb::bench {
 namespace {
@@ -43,7 +40,6 @@ namespace {
 constexpr double kMissMillis = 8.0;  // 7200RPM-class random read
 constexpr int kQueriesPerProfile = 200;
 
-bool g_paged = false;
 unsigned g_threads = 1;  // >1 adds the multithreaded paged rows
 
 // Observability ride-along, armed from the environment (CLIPBB_TRACE_*,
@@ -56,39 +52,6 @@ bool g_obs = false;
 std::unique_ptr<obs::TraceCollector> g_traces;
 rtree::EngineMetrics g_engine_metrics;
 
-/// Range query that touches the buffer pool for every node read. The
-/// caller-owned stack is reused across the batch (no per-query allocation).
-template <int D>
-size_t BufferedQuery(const rtree::RTree<D>& tree, const geom::Rect<D>& q,
-                     storage::BufferPool* pool,
-                     std::vector<storage::PageId>* stack_storage) {
-  size_t found = 0;
-  std::vector<storage::PageId>& stack = *stack_storage;
-  stack.clear();
-  stack.push_back(tree.root());
-  while (!stack.empty()) {
-    const storage::PageId id = stack.back();
-    stack.pop_back();
-    pool->Access(id);
-    const auto& n = tree.NodeAt(id);
-    if (n.IsLeaf()) {
-      for (const auto& e : n.entries) {
-        if (e.rect.Intersects(q)) ++found;
-      }
-    } else {
-      for (const auto& e : n.entries) {
-        if (!e.rect.Intersects(q)) continue;
-        if (tree.clipping_enabled() &&
-            core::ClipsPruneQuery<D>(tree.clip_index().Get(e.id), q)) {
-          continue;
-        }
-        stack.push_back(e.id);
-      }
-    }
-  }
-  return found;
-}
-
 template <int D>
 void RunTree(const std::string& dataset, const char* label,
              rtree::RTree<D>& tree,
@@ -96,23 +59,22 @@ void RunTree(const std::string& dataset, const char* label,
              Table* t) {
   // One paged dump per tree configuration; every profile/schedule run
   // below starts with a cleared (cold) pool over the same file.
+  const std::string paged_path = BenchTempFile(dataset + "_fig15");
   rtree::PagedRTree<D> paged;
-  std::string paged_path;
-  if (g_paged) {
-    paged_path = BenchTempFile(dataset + "_fig15");
-    if (!rtree::WritePagedTree<D>(tree, paged_path) ||
-        !paged.Open(paged_path)) {
-      std::fprintf(stderr, "fig15: cannot write/open paged index at %s\n",
-                   paged_path.c_str());
-      std::remove(paged_path.c_str());
-      paged_path.clear();
-    }
+  typename rtree::PagedRTree<D>::OpenOptions opts;
+  opts.pool_pages = ColdPoolPages<D>(tree);
+  if (!rtree::WritePagedTree<D>(tree, paged_path) ||
+      !paged.Open(paged_path, opts)) {
+    std::fprintf(stderr, "fig15: cannot write/open paged index at %s\n",
+                 paged_path.c_str());
+    std::remove(paged_path.c_str());
+    std::exit(1);
   }
   // Second handle for the multithreaded rows: sharded pool sized to hold
   // the whole file so physical reads are interleaving-independent (see
   // the file comment).
   rtree::PagedRTree<D> paged_mt;
-  if (!paged_path.empty() && g_threads > 1) {
+  if (g_threads > 1) {
     typename rtree::PagedRTree<D>::OpenOptions mopts;
     // Capacity is split per shard, so size every SHARD to hold the whole
     // file — hash skew across stripes must never force an eviction, or
@@ -134,41 +96,15 @@ void RunTree(const std::string& dataset, const char* label,
     const std::vector<uint32_t> workload_order = std::move(input_order);
     const std::vector<uint32_t> hilbert_order =
         rtree::HilbertQueryOrder<D>(tree.bounds(), profiles[p].queries);
-    std::vector<storage::PageId> stack;
-    stack.reserve(static_cast<size_t>(tree.Height()) *
-                  static_cast<size_t>(tree.options().max_entries));
     for (const auto* sched : {&workload_order, &hilbert_order}) {
       const char* sched_name =
           sched == &workload_order ? "workload" : "hilbert";
       const std::string json_base = "fig15/" + dataset + "/" + label + "/" +
                                     workload::kQueryProfiles[p] + "/" +
                                     sched_name;
-      {
-        storage::BufferPool pool(
-            std::max<size_t>(16, tree.NumNodes() / 10));
-        Timer timer;
-        size_t results = 0;
-        for (uint32_t qi : *sched) {
-          results += BufferedQuery<D>(tree, profiles[p].queries[qi], &pool,
-                                      &stack);
-        }
-        const double cpu_s = timer.ElapsedSeconds();
-        const double total_ms =
-            cpu_s * 1e3 + static_cast<double>(pool.misses()) * kMissMillis;
-        t->AddRow({dataset, label, workload::kQueryProfiles[p], sched_name,
-                   "sim", Table::Fixed(total_ms / kQueriesPerProfile, 1),
-                   Table::Int(static_cast<long long>(pool.misses())),
-                   Table::Int(0),
-                   Table::Fixed(static_cast<double>(results) /
-                                    kQueriesPerProfile,
-                                1)});
-        JsonPut(json_base + "/sim.misses",
-                static_cast<double>(pool.misses()));
-        JsonPut(json_base + "/sim.results", static_cast<double>(results));
-      }
       std::vector<size_t> counts_st(profiles[p].queries.size(), 0);
-      if (!paged_path.empty()) {
-        paged.pool().Clear();  // cold start, same 10 % frame budget
+      {
+        paged.pool().Clear();  // cold start
         rtree::TraversalScratch scratch;
         scratch.Reserve(paged.Height(), paged.max_entries());
         storage::IoStats io;
@@ -182,6 +118,9 @@ void RunTree(const std::string& dataset, const char* label,
         const double total_ms = timer.ElapsedSeconds() * 1e3;
         t->AddRow({dataset, label, workload::kQueryProfiles[p], sched_name,
                    "paged", Table::Fixed(total_ms / kQueriesPerProfile, 3),
+                   Table::Fixed(static_cast<double>(io.page_reads) *
+                                    kMissMillis / kQueriesPerProfile,
+                                1),
                    Table::Int(static_cast<long long>(io.page_reads)),
                    Table::Int(static_cast<long long>(io.page_writes)),
                    Table::Fixed(static_cast<double>(results) /
@@ -194,7 +133,7 @@ void RunTree(const std::string& dataset, const char* label,
         JsonPut(json_base + "/paged.avg_query_ms",
                 total_ms / kQueriesPerProfile);
       }
-      if (!paged_path.empty() && g_threads > 1) {
+      if (g_threads > 1) {
         const rtree::SpatialEngine<D> engine_mt(paged_mt);
         rtree::QueryBatchOptions bopts;
         bopts.hilbert_order = sched == &hilbert_order;
@@ -270,7 +209,7 @@ void RunTree(const std::string& dataset, const char* label,
         }
         t->AddRow({dataset, label, workload::kQueryProfiles[p], sched_name,
                    "paged-mt" + std::to_string(g_threads),
-                   Table::Fixed(total_ms / kQueriesPerProfile, 3),
+                   Table::Fixed(total_ms / kQueriesPerProfile, 3), "-",
                    Table::Int(static_cast<long long>(mt.io.page_reads)),
                    Table::Int(static_cast<long long>(mt.io.page_writes)),
                    Table::Fixed(static_cast<double>(results) /
@@ -285,16 +224,13 @@ void RunTree(const std::string& dataset, const char* label,
       }
     }
   }
-  if (!paged_path.empty()) {
-    if (paged.io_error()) {
-      std::fprintf(stderr,
-                   "fig15: %s/%s paged rows are partial (I/O error)\n",
-                   dataset.c_str(), label);
-    }
-    paged_mt.Close();
-    paged.Close();
-    std::remove(paged_path.c_str());
+  if (paged.io_error()) {
+    std::fprintf(stderr, "fig15: %s/%s paged rows are partial (I/O error)\n",
+                 dataset.c_str(), label);
   }
+  paged_mt.Close();
+  paged.Close();
+  std::remove(paged_path.c_str());
 }
 
 void RunDataset(const std::string& name) {
@@ -302,7 +238,8 @@ void RunDataset(const std::string& name) {
   workload::Dataset2 data2;
   workload::Dataset3 data3;
   Table t({"dataset", "index", "profile", "sched", "mode", "avg query ms",
-           "page reads", "page writes", "avg results"});
+           "8 ms/miss model ms", "page reads", "page writes",
+           "avg results"});
   auto run_all = [&](auto& data) {
     using DataT = std::decay_t<decltype(data)>;
     constexpr int D = std::is_same_v<DataT, workload::Dataset2> ? 2 : 3;
@@ -331,10 +268,8 @@ void RunDataset(const std::string& name) {
     run_all(data3);
   }
   std::string title = "Fig 15 — scaled-up " + name +
-                      (g_paged ? " (sim: synthetic 8 ms/miss; paged: real "
-                                 "disk-resident reads)"
-                               : " (simulated cold-disk query time)");
-  if (g_paged && g_threads > 1) {
+                      " (disk-resident, cold pool of 10 % of node pages)";
+  if (g_threads > 1) {
     title += " [mt rows: " + std::to_string(g_threads) +
              " workers, sharded pool, parity-gated]";
   }
@@ -389,7 +324,6 @@ bool FlushObs() {
 }  // namespace clipbb::bench
 
 int main(int argc, char** argv) {
-  clipbb::bench::g_paged = clipbb::bench::HasFlag(argc, argv, "--paged");
   const int threads =
       clipbb::bench::IntFlag(argc, argv, "--threads", 1);
   clipbb::bench::g_threads =

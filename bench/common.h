@@ -218,8 +218,18 @@ inline void JsonPutHistogram(const std::string& prefix,
   JsonPut(prefix + ".samples", static_cast<double>(h.count()));
 }
 
+/// Frame budget of the cold 10 % buffer pool the paged rows of Fig. 11
+/// and Fig. 15 query through: a tenth of the tree's node pages, at least
+/// 16. Counted in node pages rather than file section pages, because a
+/// clipped tree's clip-spill pages must not buy it more frames than its
+/// unclipped twin.
+template <int D>
+size_t ColdPoolPages(const rtree::RTree<D>& tree) {
+  return std::max<size_t>(16, tree.NumNodes() / 10);
+}
+
 /// Scratch file path for benches that exercise the paged storage engine
-/// (fig15/fig11 --paged). Unique per process; callers remove it when done.
+/// (fig11, fig15). Unique per process; callers remove it when done.
 inline std::string BenchTempFile(const std::string& stem) {
   const char* dir = std::getenv("TMPDIR");
   std::string path = dir && *dir ? dir : "/tmp";

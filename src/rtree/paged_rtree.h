@@ -35,7 +35,9 @@
 //    `commit_every` operations; both modes run WAL redo first, so a crash
 //    at any point recovers to the last durable commit. The superblock is
 //    logged per operation but reaches the file only at a checkpoint, after
-//    the data pages it describes.
+//    the data pages it describes. An operation that leaves the log past
+//    kWalCheckpointBytes checkpoints before it returns, so the log stays
+//    bounded without explicit Checkpoint() calls.
 //
 //  * Open() with OpenOptions::mode = kFollow — a live READ REPLICA of a
 //    writer running in another process. Opens read-only (the file
@@ -666,6 +668,10 @@ class PagedRTree {
     sb_.tau = config.tau;
     return EndOp();
   }
+
+  /// Log size past which an update checkpoints once it commits, so the
+  /// .wal file never exceeds this bound by more than one operation.
+  static constexpr uint64_t kWalCheckpointBytes = uint64_t{128} << 20;
 
   /// Makes everything durable and resets the WAL: syncs pending commits,
   /// flushes every dirty frame, fsyncs the page file, truncates the log.
@@ -1666,6 +1672,10 @@ class PagedRTree {
     update_io_.wal_appends += w.appends - wal0.appends;
     update_io_.wal_bytes += w.bytes - wal0.bytes;
     update_io_.wal_syncs += w.syncs - wal0.syncs;
+    // Bound the log at an operation boundary: it grows by whole page
+    // images and only a checkpoint truncates it, so a writer that never
+    // checkpoints would otherwise grow it without limit.
+    if (ok && wal_.size_bytes() > kWalCheckpointBytes) ok = Checkpoint();
     if (!ok) io_error_.store(true, std::memory_order_relaxed);
     return ok;
   }

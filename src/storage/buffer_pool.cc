@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -34,27 +35,20 @@ uint32_t ShardIndexOf(size_t n_shards, PageId id) {
 
 }  // namespace
 
-BufferPool::BufferPool(size_t capacity) : capacity_(capacity) {
-  shards_.push_back(std::make_unique<Shard>());
-  shards_[0]->capacity = capacity;
-}
-
 BufferPool::BufferPool(size_t capacity, PageFile* file, unsigned shards)
-    : capacity_(capacity), file_(file) {
-  size_t n = shards > 0 ? shards : 1;
-  // Every shard must own at least one frame, or a stripe of a bounded
-  // pool would be unable to evict (capacity 0 means "never evict").
-  if (capacity > 0 && n > capacity) n = capacity;
+    : capacity_(std::max<size_t>(capacity, 1)), file_(file) {
+  assert(file_ != nullptr);
+  // Every shard must own at least one frame, or a stripe would be unable
+  // to evict.
+  const size_t n = std::min<size_t>(std::max(shards, 1u), capacity_);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_[i]->capacity = capacity / n + (i < capacity % n ? 1 : 0);
+    shards_[i]->capacity = capacity_ / n + (i < capacity_ % n ? 1 : 0);
   }
 }
 
-BufferPool::~BufferPool() {
-  if (file_) FlushAll();
-}
+BufferPool::~BufferPool() { FlushAll(); }
 
 BufferPool::Shard& BufferPool::ShardFor(PageId id) {
   if (shards_.size() == 1) return *shards_[0];
@@ -99,24 +93,6 @@ void BufferPool::MoveToFront(Shard& s, PageId id, Frame& f) {
 
 void BufferPool::NoteGrowth(Shard& s) {
   if (s.map.size() > s.high_water) s.high_water = s.map.size();
-}
-
-bool BufferPool::Access(PageId id) {
-  Shard& s = ShardFor(id);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(id);
-  if (it != s.map.end()) {
-    ++s.hits;
-    if (it->second.in_lru) MoveToFront(s, id, it->second);
-    return true;
-  }
-  ++s.misses;
-  if (s.capacity == 0) return false;
-  if (s.map.size() >= s.capacity) EvictOne(s, nullptr);
-  Frame& f = s.map[id];
-  NoteGrowth(s);
-  MoveToFront(s, id, f);
-  return false;
 }
 
 bool BufferPool::LoadFrame(Shard& s, PageId id, std::byte* dst, PinIo* io,
@@ -227,7 +203,7 @@ std::byte* BufferPool::PinImpl(PageId id, bool dirty, PinIo* io,
   if (it == s.map.end()) {
     // Evict down to capacity before adding a frame; if every frame is
     // pinned the shard grows transiently (Unpin shrinks it back).
-    if (s.capacity > 0 && s.map.size() >= s.capacity) EvictOne(s, io);
+    if (s.map.size() >= s.capacity) EvictOne(s, io);
     it = s.map.try_emplace(id).first;
     NoteGrowth(s);
   }
@@ -281,7 +257,7 @@ std::byte* BufferPool::PinNew(PageId id, PinIo* io) {
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
   if (it == s.map.end()) {
-    if (s.capacity > 0 && s.map.size() >= s.capacity) EvictOne(s, io);
+    if (s.map.size() >= s.capacity) EvictOne(s, io);
     it = s.map.try_emplace(id).first;
     NoteGrowth(s);
   }
@@ -311,7 +287,7 @@ void BufferPool::Unpin(PageId id, bool dirty, uint64_t lsn, PinIo* io) {
   if (f.pins > 0 && --f.pins == 0) {
     MoveToFront(s, id, f);
     // Shrink any transient overage created while everything was pinned.
-    while (s.capacity > 0 && s.map.size() > s.capacity) {
+    while (s.map.size() > s.capacity) {
       if (!EvictOne(s, io)) break;
     }
   }
@@ -323,7 +299,7 @@ void BufferPool::OverwritePinned(PageId id, const std::byte* src) {
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
   assert(it != s.map.end() && it->second.pins > 0 && it->second.loaded);
-  if (it == s.map.end() || !it->second.data) return;
+  if (it == s.map.end()) return;
   std::memcpy(it->second.data.get(), src, file_->page_size());
 }
 
@@ -332,9 +308,7 @@ bool BufferPool::RefreshResident(PageId id, const std::byte* src) {
   Shard& s = ShardFor(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  if (it == s.map.end() || !it->second.loaded || !it->second.data) {
-    return false;
-  }
+  if (it == s.map.end() || !it->second.loaded) return false;
   std::memcpy(it->second.data.get(), src, file_->page_size());
   return true;
 }
@@ -411,7 +385,7 @@ bool BufferPool::ReadPageCopy(PageId id, std::byte* dst, PinIo* io,
   ++s.misses;
   if (io) ++io->reads;
   if (it == s.map.end()) {
-    if (s.capacity > 0 && s.map.size() >= s.capacity) EvictOne(s, io);
+    if (s.map.size() >= s.capacity) EvictOne(s, io);
     it = s.map.try_emplace(id).first;
     NoteGrowth(s);
   }
@@ -499,7 +473,7 @@ bool BufferPool::EvictOne(Shard& s, PinIo* io) {
   auto it = s.map.find(victim);
   assert(it != s.map.end());
   Frame& f = it->second;
-  if (f.dirty && f.loaded && file_) {
+  if (f.dirty && f.loaded) {
     // The frame is gone either way; WriteBack makes a failure observable
     // (write_failures) instead of counting it as a successful write-back.
     WriteBack(s, victim, f, io);
@@ -515,7 +489,7 @@ bool BufferPool::FlushAll() {
     Shard& s = *sp;
     std::lock_guard<std::mutex> lock(s.mu);
     for (auto& [id, f] : s.map) {
-      if (f.dirty && f.loaded && file_) {
+      if (f.dirty && f.loaded) {
         if (WriteBack(s, id, f, nullptr)) {
           f.dirty = false;
         } else {
@@ -644,7 +618,7 @@ void BufferPool::ResetCounters() {
 }
 
 void BufferPool::Clear() {
-  if (file_) FlushAll();
+  FlushAll();
   for (const auto& sp : shards_) {
     Shard& s = *sp;
     std::lock_guard<std::mutex> lock(s.mu);

@@ -1,15 +1,10 @@
 // Lock-striped LRU buffer pool of the paged storage engine.
 //
-// Two operating modes share one frame/LRU design:
-//
-//  * Residency mode (no backing file — the original count-only pool kept
-//    for the simulated cold-disk rows of Fig. 15): Access(id) classifies a
-//    page touch as hit or miss and maintains residency, holding no bytes.
-//  * Content mode (constructed over a PageFile): the pool owns page-sized
-//    frames. Pin(id) returns the frame bytes, reading the page from the
-//    file on a miss (possibly evicting the LRU unpinned frame, writing it
-//    back first when dirty). Pinned frames are never evicted; Unpin
-//    returns the frame to the LRU, optionally marking it dirty.
+// The pool owns page-sized frames over a PageFile. Pin(id) returns the
+// frame bytes, reading the page from the file on a miss (possibly evicting
+// the LRU unpinned frame, writing it back first when dirty). Pinned frames
+// are never evicted; Unpin returns the frame to the LRU, optionally
+// marking it dirty.
 //
 // Concurrency: the pool is sharded into `shards` partitions, each with its
 // own mutex, LRU list, and frame map; a page's shard is fixed by a hash of
@@ -105,14 +100,11 @@ class BufferPool {
   /// format-aware verifier (checksum + structural bounds) at open.
   using PageVerifier = std::function<Status(PageId, const std::byte*)>;
 
-  /// Residency-only pool; capacity = resident pages, 0 = everything
-  /// misses. Always a single shard (the simulated rows are sequential).
-  explicit BufferPool(size_t capacity);
-
-  /// Content-holding pool over `file` (not owned; must outlive the pool).
-  /// The file's page size must be set before the first Pin. `shards` > 1
-  /// lock-stripes the pool for concurrent querying threads; it is clamped
-  /// to `capacity` so every shard owns at least one frame.
+  /// Pool of `capacity` frames (at least 1) over `file` (not owned; must
+  /// outlive the pool). The file's page size must be set before the first
+  /// Pin. `shards` > 1 lock-stripes the pool for concurrent querying
+  /// threads; it is clamped to `capacity` so every shard owns at least
+  /// one frame.
   BufferPool(size_t capacity, PageFile* file, unsigned shards = 1);
 
   ~BufferPool();
@@ -120,17 +112,13 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Residency touch; returns true on hit, false on miss (after which the
-  /// page is resident, possibly evicting the LRU page). Never reads bytes.
-  bool Access(PageId id);
-
   /// Pins a page and returns its bytes (valid until the matching Unpin).
   /// Counts a hit when the frame is loaded, a miss (plus a file page read)
   /// otherwise. Returns nullptr on read/verify failure, with the reason in
   /// `*status` when given: transient faults are retried a bounded number
   /// of times first (kMaxReadRetries, counted in PinIo::read_retries), and
   /// a page that still fails is quarantined — later pins fast-fail with
-  /// kQuarantined and no file access until Clear(). Content mode only.
+  /// kQuarantined and no file access until Clear().
   const std::byte* Pin(PageId id, PinIo* io = nullptr,
                        Status* status = nullptr);
 
@@ -164,7 +152,7 @@ class BufferPool {
   /// rules), copies it, and leaves it unpinned in the LRU. The snapshot
   /// read path uses this — its copy, combined with a post-copy re-check
   /// of the epoch chain, is what makes pinned traversals race-free
-  /// against OverwritePinned. Content mode only.
+  /// against OverwritePinned.
   bool ReadPageCopy(PageId id, std::byte* dst, PinIo* io = nullptr,
                     Status* status = nullptr);
 
@@ -172,7 +160,7 @@ class BufferPool {
   /// frame when resident (no hit/miss accounting, no LRU touch),
   /// otherwise reads the overlay image or the file directly without
   /// installing a frame. Sets `*from_file` to whether the bytes came from
-  /// a physical read. Returns false on read failure. Content mode only.
+  /// a physical read. Returns false on read failure.
   bool ReadForCapture(PageId id, std::byte* dst, bool* from_file = nullptr);
 
   /// Writes every dirty frame back to the file (WAL first when attached).
@@ -209,7 +197,7 @@ class BufferPool {
   /// The follower applier calls this per page of every applied commit
   /// window, after capturing the window's pre-images. The caller must
   /// guarantee no thread holds a raw pin on the page (the follower read
-  /// path only takes latched copies). Content mode only.
+  /// path only takes latched copies).
   void PatchReadOverlay(PageId id, const std::byte* src);
 
   /// Pages currently held by the read overlay.
@@ -218,7 +206,7 @@ class BufferPool {
   /// Installs fresh contents into a page's resident frame, if any (memcpy
   /// of one page under the shard latch); a non-resident page simply
   /// misses later. The caller must guarantee no thread holds a raw pin on
-  /// the page. Returns whether a frame was refreshed. Content mode only.
+  /// the page. Returns whether a frame was refreshed.
   bool RefreshResident(PageId id, const std::byte* src);
 
   /// Enables/disables the quarantine (bounded retries still apply). A
@@ -272,10 +260,10 @@ class BufferPool {
   /// are not a single atomic cross-shard cut, same as the Sum accessors).
   std::vector<ShardCounters> PerShardCounters() const;
 
-  /// Merged pin latency distributions (hit pins / miss pins; content mode
-  /// only). Recorded under the shard latch with plain counters — the same
-  /// no-atomics discipline as the counters — and summed across shards
-  /// here. The timer starts before the latch, so latch wait is included.
+  /// Merged pin latency distributions (hit pins / miss pins). Recorded
+  /// under the shard latch with plain counters — the same no-atomics
+  /// discipline as the counters — and summed across shards here. The
+  /// timer starts before the latch, so latch wait is included.
   obs::Histogram PinHitLatency() const;
   obs::Histogram PinMissLatency() const;
 
@@ -286,8 +274,8 @@ class BufferPool {
 
   void ResetCounters();
 
-  /// Drops every frame (dirty frames are written back first in content
-  /// mode) and resets the counters.
+  /// Drops every frame (dirty frames are written back first) and resets
+  /// the counters.
   void Clear();
 
   /// Drops every frame WITHOUT write-back — dirty contents are discarded.
@@ -299,7 +287,7 @@ class BufferPool {
 
  private:
   struct Frame {
-    std::unique_ptr<std::byte[]> data;  // null in residency mode
+    std::unique_ptr<std::byte[]> data;
     uint32_t pins = 0;
     bool dirty = false;
     bool loaded = false;
@@ -361,7 +349,7 @@ class BufferPool {
       std::unordered_map<PageId, std::shared_ptr<const std::vector<std::byte>>>;
 
   size_t capacity_;
-  PageFile* file_ = nullptr;
+  PageFile* file_;
   Wal* wal_ = nullptr;
   /// Read-only redo / follower page images (guarded by overlay_mu_, a
   /// leaf lock — safe to take under a shard latch). `overlay_attached_`

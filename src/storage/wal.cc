@@ -72,6 +72,7 @@ bool Wal::Open(const std::string& path, uint32_t page_size,
     Close();
     return false;
   }
+  file_bytes_ = static_cast<uint64_t>(st.st_size);
   if (st.st_size == 0) {
     WalFileHeader h;
     h.page_size = page_size_;
@@ -79,6 +80,7 @@ bool Wal::Open(const std::string& path, uint32_t page_size,
       Close();
       return false;
     }
+    file_bytes_ = sizeof h;
   } else {
     // Appending to an existing (recovered, truncated-to-header) log; the
     // page size must match.
@@ -160,6 +162,7 @@ bool Wal::Sync() {
     FullWrite(fd_, buffer_.data(), half);
   });
   if (!FullWrite(fd_, buffer_.data(), buffer_.size())) return false;
+  file_bytes_ += drained_bytes;
   if (::fdatasync(fd_) != 0) return false;
   buffer_.clear();
   durable_lsn_.store(buffered_lsn_, std::memory_order_release);
@@ -198,6 +201,7 @@ bool Wal::Truncate() {
   buffered_lsn_ = caught_up;
   durable_lsn_.store(caught_up, std::memory_order_release);
   if (::ftruncate(fd_, sizeof(WalFileHeader)) != 0) return false;
+  file_bytes_ = sizeof(WalFileHeader);
   if (::lseek(fd_, 0, SEEK_END) < 0) return false;
   return ::fdatasync(fd_) == 0;
 }

@@ -159,6 +159,13 @@ class Wal {
     return buffer_.size();
   }
 
+  /// Size of the log once everything appended is synced: the bytes on
+  /// disk (header included) plus the buffered bytes.
+  uint64_t size_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return file_bytes_ + buffer_.size();
+  }
+
   /// Empties the log after a checkpoint (dirty pages flushed, page file
   /// synced). The LSN counter keeps running.
   bool Truncate();
@@ -224,6 +231,7 @@ class Wal {
   std::atomic<uint64_t> durable_lsn_{0};
   uint64_t buffered_lsn_ = 0;  // highest LSN in buffer_ (latched)
   std::vector<std::byte> buffer_;
+  uint64_t file_bytes_ = 0;  // bytes written to the log file (latched)
   WalStats stats_;
   WalMetrics metrics_;
   uint64_t records_since_sync_ = 0;  // group-commit batch accumulator

@@ -7,14 +7,16 @@
 // validation, and the state must survive close/reopen (read-only and
 // writable) — i.e. the pages, not the mirror, are the durable truth.
 // Also covers clip-run spill relocation (runs outgrowing their inline
-// slot move to spill pages and shrink back) and UpdateClips on a live
-// paged tree.
+// slot move to spill pages and shrink back), UpdateClips on a live
+// paged tree, and the writer checkpointing itself once its log passes
+// kWalCheckpointBytes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -342,6 +344,71 @@ TEST(PagedWriteSuperblock, FilePageZeroChangesOnlyAtCheckpoints) {
   }
   EXPECT_GT(paged.pool().evictions(), 0u);  // the pool really churned
   EXPECT_FALSE(paged.io_error());
+}
+
+// The writer bounds its own log. Each UpdateClips rewrites every node
+// page, so a loop of them crosses kWalCheckpointBytes within a second and
+// no Checkpoint() call is made: the operation that crosses the bound must
+// checkpoint (generation bump, log truncated), the .wal file must never
+// hold more than the bound between operations (so never more than the
+// bound plus one operation), and both a reader opened beside the live
+// writer and a cold reopen must answer like the in-memory reference.
+TEST(PagedWriteWal, OperationCheckpointsPastTheLogBound) {
+  Rng rng(5150);
+  std::vector<Entry<2>> items;
+  for (int i = 0; i < 40000; ++i) {
+    items.push_back(Entry<2>{RandomRect<2>(rng, 0.01), i});
+  }
+  auto ref = BuildTree<2>(Variant::kHilbert, items, Domain<2>());
+  FileGuard file(TempPath("walbound"));
+  ASSERT_TRUE(WritePagedTree<2>(*ref, file.path));
+
+  PagedRTree<2> paged;
+  PagedRTree<2>::OpenOptions wopts;
+  wopts.mode = PagedRTree<2>::OpenMode::kReadWrite;
+  ASSERT_TRUE(paged.Open(file.path, wopts,
+                         MakeRTree<2>(Variant::kHilbert, Domain<2>())));
+  constexpr uint64_t kBound = PagedRTree<2>::kWalCheckpointBytes;
+  const std::string wal_path = WalPathFor(file.path);
+  const uint32_t gen0 = paged.superblock().checkpoint_gen;
+
+  core::ClipConfig<2> config = core::ClipConfig<2>::Sta();
+  int ops = 0;
+  uint64_t op_bytes = 0;
+  for (; ops < 400 && paged.superblock().checkpoint_gen == gen0; ++ops) {
+    config = ops % 2 == 0 ? core::ClipConfig<2>::Sky()
+                          : core::ClipConfig<2>::Sta();
+    const uint64_t logged0 = paged.wal().stats().bytes;
+    ASSERT_TRUE(paged.UpdateClips(config));
+    op_bytes = paged.wal().stats().bytes - logged0;
+    ASSERT_LE(std::filesystem::file_size(wal_path), kBound) << "op " << ops;
+    ASSERT_LE(paged.wal().size_bytes(), kBound) << "op " << ops;
+  }
+  // The bound, not the first operation, triggered exactly one checkpoint,
+  // and it emptied the log.
+  EXPECT_EQ(paged.superblock().checkpoint_gen, gen0 + 1);
+  EXPECT_GT(static_cast<uint64_t>(ops) * op_bytes, kBound);
+  EXPECT_LT(std::filesystem::file_size(wal_path), op_bytes);
+
+  // A committed tail past the checkpoint, then both opens must agree.
+  ref->EnableClipping(config);
+  for (int i = 0; i < 50; ++i) {
+    const auto rect = RandomRect<2>(rng, 0.01);
+    const ObjectId id = 40000 + i;
+    ASSERT_TRUE(paged.Insert(rect, id));
+    ref->Insert(rect, id);
+  }
+  ExpectQueryParity<2>(*ref, paged, 5151, 40);
+  {
+    PagedRTree<2> beside;
+    ASSERT_TRUE(beside.Open(file.path));
+    ExpectQueryParity<2>(*ref, beside, 5152, 40);
+  }
+  ASSERT_TRUE(paged.Close());
+  PagedRTree<2> reader;
+  ASSERT_TRUE(reader.Open(file.path));
+  EXPECT_EQ(reader.NumObjects(), 40050u);
+  ExpectQueryParity<2>(*ref, reader, 5153, 40);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, PagedWrite,

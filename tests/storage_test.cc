@@ -1,8 +1,7 @@
-// Tests for the page store, the page file, and the LRU buffer pool (both
-// the residency-only mode and the content-holding pin/unpin mode with
-// dirty tracking and write-back eviction), including the lock-striped
-// sharding, the all-pinned overflow high-water accounting, the
-// exactly-once-read guarantee under concurrent pins, and the in-place
+// Tests for the page store, the page file, and the LRU buffer pool (pin/
+// unpin with dirty tracking and write-back eviction), including the
+// lock-striped sharding, the all-pinned overflow high-water accounting,
+// the exactly-once-read guarantee under concurrent pins, and the in-place
 // read overlay (patched pages served on a miss, resident frames
 // refreshed).
 #include <gtest/gtest.h>
@@ -84,52 +83,6 @@ TEST(PageStore, Clear) {
   EXPECT_EQ(store.Capacity(), 0u);
 }
 
-TEST(BufferPool, HitsAndMisses) {
-  BufferPool pool(2);
-  EXPECT_FALSE(pool.Access(1));  // miss
-  EXPECT_TRUE(pool.Access(1));   // hit
-  EXPECT_FALSE(pool.Access(2));  // miss
-  EXPECT_TRUE(pool.Access(2));
-  EXPECT_EQ(pool.hits(), 2u);
-  EXPECT_EQ(pool.misses(), 2u);
-}
-
-TEST(BufferPool, LruEviction) {
-  BufferPool pool(2);
-  pool.Access(1);
-  pool.Access(2);
-  pool.Access(1);           // 1 most recent
-  EXPECT_FALSE(pool.Access(3));  // evicts 2
-  EXPECT_TRUE(pool.Resident(1));
-  EXPECT_FALSE(pool.Resident(2));
-  EXPECT_TRUE(pool.Access(1));
-  EXPECT_FALSE(pool.Access(2));  // 2 was evicted -> miss
-}
-
-TEST(BufferPool, ZeroCapacityAlwaysMisses) {
-  BufferPool pool(0);
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(pool.Access(1));
-  EXPECT_EQ(pool.misses(), 5u);
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(BufferPool, SizeNeverExceedsCapacity) {
-  BufferPool pool(3);
-  for (PageId p = 0; p < 100; ++p) pool.Access(p);
-  EXPECT_EQ(pool.size(), 3u);
-  EXPECT_EQ(pool.misses(), 100u);
-}
-
-TEST(BufferPool, ClearResetsEverything) {
-  BufferPool pool(4);
-  pool.Access(1);
-  pool.Access(2);
-  pool.Clear();
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 0u);
-  EXPECT_FALSE(pool.Resident(1));
-}
-
 TEST(PageFile, WriteReadRoundTrip) {
   FileGuard f(TempPath("roundtrip"));
   PageFile file;
@@ -206,6 +159,40 @@ TEST_F(ContentPoolTest, LruEvictionBoundsFrames) {
   EXPECT_TRUE(pool.Resident(5));
   EXPECT_TRUE(pool.Resident(4));
   EXPECT_FALSE(pool.Resident(0));
+}
+
+TEST_F(ContentPoolTest, RetouchProtectsFromEviction) {
+  BufferPool pool(2, &file_);
+  for (int64_t p : {1, 2, 1}) {  // 1 becomes the most recent again
+    ASSERT_NE(pool.Pin(p), nullptr);
+    pool.Unpin(p);
+  }
+  ASSERT_NE(pool.Pin(3), nullptr);  // evicts 2, the LRU page
+  pool.Unpin(3);
+  EXPECT_TRUE(pool.Resident(1));
+  EXPECT_FALSE(pool.Resident(2));
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.misses(), 3u);
+  ASSERT_NE(pool.Pin(2), nullptr);  // evicted: a miss and a file read
+  pool.Unpin(2);
+  EXPECT_EQ(pool.misses(), 4u);
+  EXPECT_EQ(file_.reads(), 4u);
+}
+
+TEST_F(ContentPoolTest, ClearResetsCountersAndResidency) {
+  BufferPool pool(4, &file_);
+  for (int64_t p : {1, 2, 1}) {
+    ASSERT_NE(pool.Pin(p), nullptr);
+    pool.Unpin(p);
+  }
+  pool.Clear();
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_FALSE(pool.Resident(1));
+  ASSERT_NE(pool.Pin(1), nullptr);  // cold again: a miss
+  pool.Unpin(1);
+  EXPECT_EQ(pool.misses(), 1u);
 }
 
 TEST_F(ContentPoolTest, PinnedFramesAreNotEvicted) {
