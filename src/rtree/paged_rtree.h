@@ -42,7 +42,7 @@
 //  * Open() with OpenOptions::mode = kFollow — a live READ REPLICA of a
 //    writer running in another process. Opens read-only (the file
 //    O_RDONLY, the sidecar .wal never written), then tails the writer's
-//    log (replica/wal_tailer.h): each Refresh() scans the committed log
+//    log (storage/wal_scan.h): each Refresh() scans the committed log
 //    suffix past the replica's applied LSN and applies every complete
 //    commit window — pre-images captured into the epoch chain, page
 //    images patched in place into the pool's read overlay (one page at
@@ -50,8 +50,8 @@
 //    replica's clip index — publishing exactly one epoch per committed
 //    transaction. Pinned snapshots get the same isolation as in-process
 //    readers; unpinned queries auto-pin the latest applied epoch and see
-//    fresh data within one poll interval (OpenOptions::follow_poll_ms, or
-//    explicit Refresh()). When the writer checkpoints it bumps the
+//    the data of the last Refresh() (the caller picks the cadence, from
+//    any thread). When the writer checkpoints it bumps the
 //    superblock's checkpoint generation BEFORE truncating the log; the
 //    replica detects the bump (or a shrunk log) and rebases. A replica
 //    that applied every window the checkpointed file reflects (applied
@@ -89,7 +89,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -97,7 +96,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -105,7 +103,6 @@
 #include "core/clip_index.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "replica/wal_tailer.h"
 #include "rtree/epoch.h"
 #include "rtree/page_format.h"
 #include "rtree/rtree.h"
@@ -115,6 +112,7 @@
 #include "storage/io_stats.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
+#include "storage/wal_scan.h"
 
 namespace clipbb::rtree {
 
@@ -165,11 +163,6 @@ class PagedRTree {
     /// Read-only (the default), read-write (requires the `variant`
     /// argument of Open()), or follower replica.
     OpenMode mode = OpenMode::kReadOnly;
-    /// Follow mode: poll interval of the background tailer thread in
-    /// milliseconds. 0 (the default) starts no thread — the replica
-    /// advances only on explicit Refresh() calls, the deterministic
-    /// configuration tests use.
-    uint32_t follow_poll_ms = 0;
   };
 
   PagedRTree() = default;
@@ -213,10 +206,9 @@ class PagedRTree {
   /// Read-only and follower opens share this body: redo into the
   /// overlay, one scan for the clip table and root, then the pool. A
   /// follower's state then tracks the live writer through the sidecar
-  /// log. The open-time redo overlay already reflects every committed
-  /// record, so the replay cursor starts past them; the tailer re-reading
-  /// those bytes is harmless (windows at or below the applied LSN are
-  /// skipped).
+  /// log. The open-time redo overlay comes from the first poll of the
+  /// follower's own tailer, which therefore resumes past every window
+  /// the overlay reflects: the log is read once.
   bool OpenReadImpl(const std::string& path, const OpenOptions& opts) {
     Close();
     if (!OpenAndRecover(path, /*writable=*/false)) return false;
@@ -227,7 +219,9 @@ class PagedRTree {
     }
     clip_index_.Compact();
     clips_ = &clip_index_;
+    op_seq_ = std::max(sb_.last_op_seq, recovery_.last_op_seq);
     if (opts.mode != OpenMode::kFollow) {
+      tailer_.reset();
       FinishOpen(opts);
       return true;
     }
@@ -237,29 +231,19 @@ class PagedRTree {
     // its LSNs would let Rebase take a transaction this replica never
     // saw for one it already has.
     applied_lsn_ = std::max(sb_.lsn, recovery_.last_commit_lsn);
+    // The generation and the tailer's offset belong to one log
+    // incarnation: every committed window carries a superblock image, so
+    // a tailer past the header read sb_ from that log; a tailer at the
+    // header is valid in any incarnation. A later truncate or regrow is
+    // then caught by Refresh's generation check.
     gen_ = sb_.checkpoint_gen;
     FinishOpen(opts);
     // A read racing the live writer's in-place pwrite can observe a torn
     // page; that is a transient, not a bad medium — never quarantine.
     pool_->SetQuarantineEnabled(false);
-    tailer_ = std::make_unique<replica::WalTailer>(WalPathFor(path));
-    op_seq_ = std::max(sb_.last_op_seq, recovery_.last_op_seq);
     // Queries in follow mode always run pinned, and pinned clip lookups
     // resolve through the epoch manager.
     ArmEpochClips(clip_index_);
-    if (opts.follow_poll_ms > 0) {
-      stop_poll_ = false;
-      poll_thread_ = std::thread([this, ms = opts.follow_poll_ms] {
-        std::unique_lock<std::mutex> lk(poll_mu_);
-        while (!stop_poll_) {
-          poll_cv_.wait_for(lk, std::chrono::milliseconds(ms));
-          if (stop_poll_) break;
-          lk.unlock();
-          Refresh();
-          lk.lock();
-        }
-      });
-    }
     return true;
   }
 
@@ -408,7 +392,6 @@ class PagedRTree {
   /// the destructor after an explicit Close() — performs no further I/O
   /// and reports the same verdict.
   bool Close() {
-    StopPollThread();
     bool ok = !io_error_.load(std::memory_order_relaxed);
     if (open_ && write_mode_) {
       if (!ok || !Checkpoint()) {
@@ -537,7 +520,7 @@ class PagedRTree {
       registry.SetGauge("replica_applied_lsn", applied_lsn_);
       registry.SetGauge("replica_checkpoint_gen", gen_);
       if (tailer_) {
-        const replica::WalTailer::Stats& ts = tailer_->stats();
+        const storage::WalTailer::Stats& ts = tailer_->stats();
         registry.SetCounter("replica_bytes_tailed_total", ts.bytes_tailed);
         registry.SetCounter("replica_polls_total", ts.polls);
         registry.SetCounter("replica_commits_tailed_total",
@@ -584,12 +567,13 @@ class PagedRTree {
   bool Refresh(storage::Status* status = nullptr) {
     if (!follow_mode_ || !open_) return false;
     std::lock_guard<std::mutex> lock(refresh_mu_);
-    std::vector<replica::WalCommitWindow> windows;
+    std::vector<storage::WalCommitWindow> windows;
     std::vector<std::byte> sb_page(sb_.file_page_size);
     for (int round = 0; round < 4; ++round) {
       windows.clear();
-      const replica::WalTailer::PollResult pr = tailer_->Poll(&windows);
-      if (pr == replica::WalTailer::PollResult::kError) {
+      const storage::WalTailer::PollResult pr = tailer_->Poll(&windows);
+      if (pr == storage::WalTailer::PollResult::kError ||
+          pr == storage::WalTailer::PollResult::kBadHeader) {
         if (status) *status = {storage::ErrorKind::kWal, -1};
         return false;
       }
@@ -605,14 +589,14 @@ class PagedRTree {
       Superblock fsb{};
       std::memcpy(&fsb, sb_page.data(), sizeof fsb);
       if (fsb.checkpoint_gen != gen_ ||
-          pr == replica::WalTailer::PollResult::kShrunk) {
+          pr == storage::WalTailer::PollResult::kShrunk) {
         if (!Rebase(fsb)) {
           if (status) *status = {storage::ErrorKind::kIo, -1};
           return false;
         }
         continue;  // tail the post-checkpoint log in the next round
       }
-      for (const replica::WalCommitWindow& win : windows) {
+      for (const storage::WalCommitWindow& win : windows) {
         if (win.commit_lsn <= applied_lsn_) continue;  // already reflected
         ApplyWindow(win);
       }
@@ -990,12 +974,14 @@ class PagedRTree {
   /// Opens the page file, replays any sidecar WAL (redo to the last
   /// durable commit), and validates the superblock. A writable open owns
   /// the file: redo writes the pages and truncates the log. A read-only
-  /// open owns nothing: the file opens O_RDONLY, redo lands in the
-  /// in-memory overlay (`redo_overlay_`), and the .wal stays
+  /// open owns nothing: the file opens O_RDONLY, one poll of a fresh
+  /// `tailer_` folds the committed images into the in-memory overlay
+  /// (`redo_overlay_`, last image wins), and the .wal stays
   /// byte-identical (it may be a live writer's only durable copy).
   bool OpenAndRecover(const std::string& path, bool writable) {
     recovery_ = storage::Wal::RecoveryResult{};
     redo_overlay_.clear();
+    tailer_.reset();
     if (!file_.Open(path, /*create=*/false, /*page_size=*/0,
                     /*read_only=*/!writable)) {
       return false;
@@ -1014,11 +1000,25 @@ class PagedRTree {
         probe.file_page_size % 8 == 0) {
       file_.set_page_size(probe.file_page_size);
     }
-    if (!storage::Wal::Recover(WalPathFor(path), &file_, &recovery_,
-                               /*truncate_after_replay=*/writable,
-                               writable ? nullptr : &redo_overlay_)) {
-      file_.Close();
-      return false;
+    if (writable) {
+      if (!storage::Wal::Recover(WalPathFor(path), &file_, &recovery_)) {
+        file_.Close();
+        return false;
+      }
+    } else {
+      tailer_ = std::make_unique<storage::WalTailer>(WalPathFor(path));
+      std::vector<storage::WalCommitWindow> windows;
+      if (!storage::PollForRecovery(tailer_.get(), &file_, &windows,
+                                    &recovery_)) {
+        file_.Close();
+        return false;
+      }
+      for (const storage::WalCommitWindow& win : windows) {
+        for (const storage::WalPageImage& img : win.images) {
+          redo_overlay_[img.page_id].assign(img.bytes.begin(),
+                                            img.bytes.end());
+        }
+      }
     }
     update_io_.recovery_replays += recovery_.pages_replayed;
     if (recovery_.pages_replayed > 0) {
@@ -1395,15 +1395,15 @@ class PagedRTree {
   /// reader's copy-then-recheck finds each pre-image already captured),
   /// (3) clip runs and the cached shape advance, (4) publish. Costs
   /// O(pages in the window), however large the overlay has grown.
-  void ApplyWindow(const replica::WalCommitWindow& win) {
+  void ApplyWindow(const storage::WalCommitWindow& win) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (const replica::WalPageImage& img : win.images) {
+    for (const storage::WalPageImage& img : win.images) {
       CaptureReplicaPreImage(img.page_id, img.lsn);
     }
-    for (const replica::WalPageImage& img : win.images) {
+    for (const storage::WalPageImage& img : win.images) {
       pool_->PatchReadOverlay(img.page_id, img.bytes.data());
     }
-    for (const replica::WalPageImage& img : win.images) {
+    for (const storage::WalPageImage& img : win.images) {
       if (img.page_id == 0) {
         Superblock nsb{};
         std::memcpy(&nsb, img.bytes.data(), sizeof nsb);
@@ -1412,7 +1412,7 @@ class PagedRTree {
         ApplyClipUpdate(img.page_id, img.bytes.data(), img.bytes.size());
       }
     }
-    for (const replica::WalPageImage& img : win.images) {
+    for (const storage::WalPageImage& img : win.images) {
       if (img.page_id == 1 + sb_.root_page) {
         RefreshShapeFromRoot(img.bytes.data());
         break;
@@ -1521,16 +1521,6 @@ class PagedRTree {
     }
     if (!root_page.empty()) RefreshShapeFromRoot(root_page.data());
     return true;
-  }
-
-  void StopPollThread() {
-    if (!poll_thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lk(poll_mu_);
-      stop_poll_ = true;
-    }
-    poll_cv_.notify_all();
-    poll_thread_.join();
   }
 
   // ------------------------------------------------------------ write path
@@ -1975,7 +1965,9 @@ class PagedRTree {
   // only under refresh_mu_; queries never read it directly (they go
   // through pinned epoch views), and PublishMetrics takes the mutex.
   bool follow_mode_ = false;
-  std::unique_ptr<replica::WalTailer> tailer_;
+  /// The log reader: its first poll built the open-time redo overlay,
+  /// so it resumes past every window that overlay reflects.
+  std::unique_ptr<storage::WalTailer> tailer_;
   /// WAL LSN the replica's published state has applied through: the
   /// commit record of the last applied window (at open, the last one
   /// recovered — never a pending tail's records), or the superblock LSN
@@ -1989,13 +1981,9 @@ class PagedRTree {
   uint64_t windows_applied_ = 0;
   obs::Histogram apply_ns_;   // per applied commit window
   obs::Histogram rebase_ns_;  // per rebase, both paths
-  /// Serializes Refresh() callers (user thread vs poll thread) and
-  /// guards the replica counters for PublishMetrics.
+  /// Serializes Refresh() callers and guards the replica counters for
+  /// PublishMetrics.
   mutable std::mutex refresh_mu_;
-  std::thread poll_thread_;
-  std::mutex poll_mu_;
-  std::condition_variable poll_cv_;
-  bool stop_poll_ = false;
 };
 
 }  // namespace clipbb::rtree

@@ -29,8 +29,9 @@ enum class ReadFaultKind : uint8_t {
   kBitFlip,    ///< the read succeeds but one bit of the frame is flipped
 };
 
-/// Sentinel "page id" the WAL recovery scan passes to ReadFaultNext; lets a
-/// page filter target either the log read or a specific data page.
+/// Sentinel "page id" the log tailer's region read (recovery at open and
+/// every follower Refresh) passes to ReadFaultNext; lets a page filter
+/// target either the log read or a specific data page.
 inline constexpr int64_t kReadFaultWal = -2;
 
 namespace read_fault_internal {
@@ -103,7 +104,7 @@ inline bool ReadFaultArmFromEnv() {
 }
 
 /// Called by the read hooks with the file page id being read (or
-/// kReadFaultWal for the recovery log scan). Returns the fault to apply to
+/// kReadFaultWal for the log tailer's region read). Returns the fault to apply to
 /// this read, or kNone.
 inline ReadFaultKind ReadFaultNext(int64_t page_id) {
   namespace fi = read_fault_internal;

@@ -37,8 +37,9 @@ inline constexpr PageId kInvalidPage = -1;
 
 /// Full-page images keyed by absolute file page index — the in-memory
 /// redo overlay a read-only open builds from a sidecar WAL it must not
-/// replay into the file (storage/wal.h Recover fills it; the BufferPool
-/// consults it on miss before touching the file). The epoch machinery
+/// replay into the file (folded from the log tailer's first poll,
+/// storage/wal_scan.h; the BufferPool consults it on miss before
+/// touching the file). The epoch machinery
 /// (storage/epoch.h, rtree/epoch.h) generalizes the same shape into a
 /// per-epoch chain of these maps holding pre-images for pinned snapshot
 /// readers.

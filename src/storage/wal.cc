@@ -10,7 +10,7 @@
 
 #include "obs/clock.h"
 #include "storage/crash_point.h"
-#include "storage/fault_injection.h"
+#include "storage/wal_scan.h"
 
 namespace clipbb::storage {
 
@@ -207,110 +207,15 @@ bool Wal::Truncate() {
 }
 
 bool Wal::Recover(const std::string& wal_path, PageFile* file,
-                  RecoveryResult* out, bool truncate_after_replay,
-                  RecoveredPageMap* overlay) {
+                  RecoveryResult* out) {
+  WalTailer tailer(wal_path);
+  std::vector<WalCommitWindow> windows;
   RecoveryResult res;
-  const int fd =
-      ::open(wal_path.c_str(), truncate_after_replay ? O_RDWR : O_RDONLY);
-  if (fd < 0) {
+  if (!PollForRecovery(&tailer, file, &windows, &res)) return false;
+  if (!res.log_found) {
     if (out) *out = res;
-    return true;  // no log, nothing to do
+    return true;  // no log, or header-only (clean checkpoint)
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size <= sizeof(WalFileHeader)) {
-    ::close(fd);
-    if (out) *out = res;
-    return true;  // header-only (clean checkpoint) or empty
-  }
-  // Injected faults on the whole-log read: EIO and short reads make
-  // recovery fail cleanly (the caller refuses the open); a bit flip lands
-  // in the log buffer, where the per-record CRC machinery below treats the
-  // damaged record as the start of the torn tail.
-  const ReadFaultKind fault = ReadFaultNext(kReadFaultWal);
-  if (fault == ReadFaultKind::kEio || fault == ReadFaultKind::kShortRead) {
-    ::close(fd);
-    return false;
-  }
-  std::vector<std::byte> log(size);
-  const bool read_ok =
-      ::pread(fd, log.data(), size, 0) == static_cast<ssize_t>(size);
-  if (!read_ok) {
-    ::close(fd);
-    return false;
-  }
-  if (fault == ReadFaultKind::kBitFlip) {
-    log[sizeof(WalFileHeader) + (size - sizeof(WalFileHeader)) / 2] ^=
-        std::byte{0x10};
-  }
-  WalFileHeader fh;
-  std::memcpy(&fh, log.data(), sizeof fh);
-  if (fh.magic != kWalFileMagic || fh.page_size == 0) {
-    // Unrecognisable log: refuse to guess — the caller decides whether the
-    // page file alone is usable.
-    ::close(fd);
-    return false;
-  }
-  if (file->page_size() == 0) {
-    // The page file's superblock was torn; the log header is the
-    // authoritative size (its image will repair the superblock).
-    file->set_page_size(fh.page_size);
-  } else if (fh.page_size != file->page_size()) {
-    ::close(fd);
-    return false;
-  }
-  res.log_found = true;
-
-  // Scan forward validating records; remember the offset just past the
-  // last commit — everything after it is an uncommitted or torn tail.
-  struct Image {
-    uint64_t lsn;
-    int64_t page_id;
-    uint64_t op_seq;
-    size_t payload_off;
-  };
-  std::vector<Image> images;        // images of committed transactions
-  std::vector<Image> pending;       // images awaiting their commit
-  size_t off = sizeof(WalFileHeader);
-  size_t committed_end = off;
-  while (off + sizeof(WalRecordHeader) <= size) {
-    WalRecordHeader h;
-    std::memcpy(&h, log.data() + off, sizeof h);
-    if (h.magic != kWalRecordMagic) break;
-    if (off + sizeof h + h.payload_len > size) break;  // torn payload
-    if (h.crc != WalRecordCrc(h, log.data() + off + sizeof h)) break;
-    if (h.type == kPageImage) {
-      if (h.payload_len != fh.page_size) break;
-      pending.push_back(Image{h.lsn, h.page_id, h.op_seq, off + sizeof h});
-    } else if (h.type == kCommit) {
-      // Promote only images of THIS transaction; images of a different
-      // op_seq were leaked by an operation that failed before committing
-      // (the writer synced them to preserve earlier group-committed
-      // work) and must stay inert.
-      for (const Image& im : pending) {
-        if (im.op_seq == h.op_seq) images.push_back(im);
-      }
-      pending.clear();
-      res.last_op_seq = h.op_seq;
-      res.last_commit_lsn = h.lsn;
-      committed_end = off + sizeof h;
-    } else {
-      break;  // unknown record type: treat as tail corruption
-    }
-    // Max over every valid record, committed or not, so LSNs handed out
-    // after recovery never collide with ones the dead writer consumed.
-    if (h.lsn > res.max_lsn) res.max_lsn = h.lsn;
-    res.records_scanned++;
-    off += sizeof h + h.payload_len;
-  }
-  res.tail_discarded = size - committed_end;
-  // Records of the discarded tail must not count.
-  res.records_scanned -= pending.size();
-
   // Redo: write every committed image in log order — last image wins, so
   // the pass is idempotent without consulting on-disk page LSNs. (It must
   // not: a torn page write can persist the header, LSN included, while
@@ -318,34 +223,19 @@ bool Wal::Recover(const std::string& wal_path, PageFile* file,
   // the page content is intact. Every file page write was covered by a
   // durable image first — the WAL rule — so unconditional replay is
   // always sound.)
-  for (const Image& im : images) {
-    if (overlay != nullptr) {
-      // Read-only redo: the newest committed image lands in memory; the
-      // page file stays untouched (a live writer may own it).
-      (*overlay)[im.page_id].assign(
-          log.begin() + static_cast<ptrdiff_t>(im.payload_off),
-          log.begin() + static_cast<ptrdiff_t>(im.payload_off) +
-              fh.page_size);
-    } else if (!file->WritePage(im.page_id, log.data() + im.payload_off)) {
-      ::close(fd);
-      return false;
+  for (const WalCommitWindow& win : windows) {
+    for (const WalPageImage& img : win.images) {
+      if (!file->WritePage(img.page_id, img.bytes.data())) return false;
     }
-    ++res.pages_replayed;
   }
-  if (overlay == nullptr && !file->Sync()) {
-    ::close(fd);
-    return false;
-  }
-  // Write mode: the log's work is done; empty it so the next writer
-  // starts clean. A read-only open leaves the log byte-identical — it may
-  // be another process's only durable copy (see the header contract).
-  if (truncate_after_replay &&
-      (::ftruncate(fd, sizeof(WalFileHeader)) != 0 ||
-       ::fdatasync(fd) != 0)) {
-    ::close(fd);
-    return false;
-  }
+  if (!file->Sync()) return false;
+  // The log's work is done; empty it so the next writer starts clean.
+  const int fd = ::open(wal_path.c_str(), O_WRONLY);
+  if (fd < 0) return false;
+  const bool truncated = ::ftruncate(fd, sizeof(WalFileHeader)) == 0 &&
+                         ::fdatasync(fd) == 0;
   ::close(fd);
+  if (!truncated) return false;
   if (out) *out = res;
   return true;
 }

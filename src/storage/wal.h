@@ -15,10 +15,11 @@
 //    the commit boundary. The BufferPool refuses to write back any dirty
 //    frame whose LSN exceeds durable_lsn(), calling Sync() first (WAL rule:
 //    log before data).
-//  * Recover() scans the log at open, discards a torn or corrupt tail
-//    (CRC / truncation), and replays every page image of every *committed*
-//    transaction whose LSN is newer than the on-disk page's LSN. Redo is
-//    idempotent; a crash during recovery just replays again.
+//  * Recover() scans the log at open (through the tailer of
+//    storage/wal_scan.h, the one reader of the record format), discards a
+//    torn or corrupt tail (CRC / truncation), and replays every page image
+//    of every *committed* transaction in log order. Redo is idempotent; a
+//    crash during recovery just replays again.
 //  * Checkpoint = flush all dirty frames, fsync the page file, then
 //    Truncate() the log. The superblock's lsn field persists the LSN
 //    high-water mark across log truncations.
@@ -58,9 +59,8 @@ inline constexpr uint32_t kWalRecordMagic = 0xCBB17EC0u;
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// On-disk WAL file header, written once at offset 0. Public so the
-/// follower-replica tailer and the offline scrub pass (src/replica/) can
-/// parse the same bytes Recover() does; the layout is part of the on-disk
-/// format and must not change shape.
+/// log reader (storage/wal_scan.h) can parse the bytes Open() writes; the
+/// layout is part of the on-disk format and must not change shape.
 struct WalFileHeader {
   uint64_t magic = kWalFileMagic;
   uint32_t page_size = 0;
@@ -200,29 +200,18 @@ class Wal {
     uint64_t max_lsn = 0;
   };
 
-  /// Redo pass over the log at `wal_path`. Two modes:
-  ///
-  ///  * Write mode (`overlay == nullptr`, the default): replays every
-  ///    committed page image into `file` (open, page size set) in log
-  ///    order, fsyncs it, and — with `truncate_after_replay`, the
-  ///    write-mode default — empties the log so the next writer starts
-  ///    clean.
-  ///  * Read-only mode (`overlay != nullptr`, pass
-  ///    truncate_after_replay = false): touches NEITHER the page file
-  ///    NOR the log — committed images land in `*overlay` (last image
-  ///    per page wins) for the caller's buffer pool to consult on miss.
-  ///    The log may be a live writer's only durable copy of its commits,
-  ///    and the page file may be mid-checkpoint by that writer, so a
-  ///    reader must write to neither; redo is idempotent, so the next
-  ///    open just rebuilds the overlay.
+  /// Redo pass over the log at `wal_path`: one poll of a fresh tailer
+  /// (storage/wal_scan.h), then every committed page image written into
+  /// `file` (open, page size set or adopted from the log header) in log
+  /// order, the file fsynced, and the log truncated to its header so the
+  /// next writer starts clean. Read-only opens run the same poll but
+  /// fold the images into memory instead (PollForRecovery).
   ///
   /// A missing or empty log is success with log_found = false. Returns
-  /// false only on real I/O failure — a torn tail is discarded, not
-  /// fatal.
+  /// false only on real I/O failure or an unrecognisable log — a torn
+  /// tail is discarded, not fatal.
   static bool Recover(const std::string& wal_path, PageFile* file,
-                      RecoveryResult* out,
-                      bool truncate_after_replay = true,
-                      RecoveredPageMap* overlay = nullptr);
+                      RecoveryResult* out);
 
  private:
   int fd_ = -1;

@@ -37,11 +37,12 @@
 #include <string>
 #include <vector>
 
-#include "replica/wal_scan.h"
+#include "obs/metrics.h"
 #include "rtree/factory.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_api.h"
 #include "storage/crash_point.h"
+#include "storage/wal_scan.h"
 #include "test_util.h"
 
 namespace clipbb::rtree {
@@ -715,6 +716,35 @@ TEST(FollowerReplica, KillPointSweep3d) {
 
 // ----------------------------------------------------- stale pin semantics
 
+/// A writer that dies without Close() after applying every op of `w`,
+/// one commit each: the log keeps every committed window (the child exits
+/// raw, so no destructor checkpoint truncates it — the same state a crash
+/// leaves behind).
+template <int D>
+void WriteAndDie(const std::string& path, Variant variant,
+                 const Workload<D>& w) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    PagedRTree<D> writer;
+    typename PagedRTree<D>::OpenOptions opts;
+    opts.mode = PagedRTree<D>::OpenMode::kReadWrite;
+    opts.commit_every = 1;
+    if (!writer.Open(path, opts, MakeRTree<D>(variant, Domain<D>()))) {
+      ::_exit(4);
+    }
+    for (const Op<D>& op : w.ops) {
+      const bool ok = op.is_insert ? writer.Insert(op.rect, op.id)
+                                   : writer.Delete(op.rect, op.id);
+      if (!ok) ::_exit(5);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
 /// Offline WAL validation (`clipbb_cli scrub --wal` runs this exact
 /// scanner): a writer that dies without checkpointing leaves a log whose
 /// committed windows the report must count exactly; garbage appended
@@ -731,37 +761,15 @@ TEST(FollowerReplica, WalScrubReportCountsWindowsAndFlagsCorruption) {
   const std::string wal = WalPathFor(file.path);
 
   // Nothing to replay yet: the bulk load leaves no sidecar log.
-  replica::WalScrubReport rep;
-  ASSERT_TRUE(replica::ScrubWalFile(wal, &rep));
+  storage::WalScrubReport rep;
+  ASSERT_TRUE(storage::ScrubWalFile(wal, &rep));
   EXPECT_FALSE(rep.log_found);
   EXPECT_TRUE(rep.ok());
 
-  // A writer that dies without Close() leaves every committed window in
-  // the log (the child exits raw, so no destructor checkpoint truncates
-  // it — the same state a crash leaves behind).
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    PagedRTree<D> writer;
-    typename PagedRTree<D>::OpenOptions opts;
-    opts.mode = PagedRTree<D>::OpenMode::kReadWrite;
-    opts.commit_every = 1;
-    if (!writer.Open(file.path, opts,
-                     MakeRTree<D>(Variant::kHilbert, Domain<D>()))) {
-      ::_exit(4);
-    }
-    for (const Op<D>& op : w.ops) {
-      const bool ok = op.is_insert ? writer.Insert(op.rect, op.id)
-                                   : writer.Delete(op.rect, op.id);
-      if (!ok) ::_exit(5);
-    }
-    ::_exit(0);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  WriteAndDie<D>(file.path, Variant::kHilbert, w);
+  if (::testing::Test::HasFatalFailure()) return;
 
-  ASSERT_TRUE(replica::ScrubWalFile(wal, &rep));
+  ASSERT_TRUE(storage::ScrubWalFile(wal, &rep));
   EXPECT_TRUE(rep.log_found);
   EXPECT_TRUE(rep.header_ok);
   EXPECT_GT(rep.page_size, 0u);
@@ -779,7 +787,7 @@ TEST(FollowerReplica, WalScrubReportCountsWindowsAndFlagsCorruption) {
     ASSERT_EQ(std::fwrite(junk, 1, sizeof junk, f), sizeof junk);
     std::fclose(f);
   }
-  ASSERT_TRUE(replica::ScrubWalFile(wal, &rep));
+  ASSERT_TRUE(storage::ScrubWalFile(wal, &rep));
   EXPECT_EQ(rep.commit_windows, w.ops.size());
   EXPECT_EQ(rep.tail_bytes, sizeof junk);
   EXPECT_TRUE(rep.ok());
@@ -791,10 +799,60 @@ TEST(FollowerReplica, WalScrubReportCountsWindowsAndFlagsCorruption) {
     ASSERT_EQ(std::fwrite(&zero, sizeof zero, 1, f), 1u);
     std::fclose(f);
   }
-  ASSERT_TRUE(replica::ScrubWalFile(wal, &rep));
+  ASSERT_TRUE(storage::ScrubWalFile(wal, &rep));
   EXPECT_TRUE(rep.log_found);
   EXPECT_FALSE(rep.header_ok);
   EXPECT_FALSE(rep.ok());
+}
+
+uint64_t CounterValue(const obs::MetricsRegistry& registry,
+                      const std::string& name) {
+  for (const auto& [n, v] : registry.Snapshot().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+/// A follower reads its log once: the open-time redo poll is its
+/// tailer's first poll, so a crashed writer's N commit windows are all
+/// tailed before any Refresh, and a Refresh with nothing new applies no
+/// window and tails nothing again.
+TEST(FollowerReplica, OpenReadsTheLogOnce) {
+  constexpr int D = 2;
+  const Workload<D> w = MakeWorkload<D>(300, 9, 821);
+  auto bulk = BuildTree<D>(Variant::kHilbert, w.items, Domain<D>());
+  bulk->EnableClipping(core::ClipConfig<D>::Sta());
+  FileGuard file(TempPath("readonce"));
+  ASSERT_TRUE(WritePagedTree<D>(*bulk, file.path));
+  WriteAndDie<D>(file.path, Variant::kHilbert, w);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  PagedRTree<D> follower;
+  typename PagedRTree<D>::OpenOptions fopts;
+  fopts.mode = PagedRTree<D>::OpenMode::kFollow;
+  ASSERT_TRUE(follower.Open(file.path, fopts));
+  ASSERT_EQ(follower.last_committed_op(), w.ops.size());
+  obs::MetricsRegistry registry;
+  follower.PublishMetrics(registry);
+  EXPECT_EQ(CounterValue(registry, "replica_commits_tailed_total"),
+            w.ops.size());
+
+  ASSERT_TRUE(follower.Refresh());
+  EXPECT_EQ(follower.replica_windows_applied(), 0u);
+  follower.PublishMetrics(registry);
+  EXPECT_EQ(CounterValue(registry, "replica_commits_tailed_total"),
+            w.ops.size());
+  auto ref = BuildTree<D>(Variant::kHilbert, w.items, Domain<D>());
+  ref->EnableClipping(core::ClipConfig<D>::Sta());
+  for (const Op<D>& op : w.ops) {
+    if (op.is_insert) {
+      ref->Insert(op.rect, op.id);
+    } else {
+      ASSERT_TRUE(ref->Delete(op.rect, op.id));
+    }
+  }
+  GateQueries<D>(follower, ref.get(), 823);
+  EXPECT_TRUE(follower.Close());
 }
 
 /// Deterministic kStaleSnapshot: a follower that never refreshes while a

@@ -1,10 +1,9 @@
 // Single-process concurrency coverage of the follower replica, shaped
 // for ThreadSanitizer (no fork — TSan cannot follow children): a writer
 // instance and a follower instance share one page file inside this
-// process, the follower runs its background poll thread AND takes
-// explicit Refresh() calls from a second thread (the two serialize on
-// the refresh mutex), while reader threads hammer pinned and unpinned
-// queries throughout. TSan watches the applier's overlay swaps, epoch
+// process, two threads call Refresh() on the follower (they serialize on
+// the refresh mutex; one also publishes metrics), while reader threads
+// hammer pinned and unpinned queries throughout. TSan watches the applier's overlay swaps, epoch
 // publishes, and resident-frame refreshes race against traversals; the
 // test itself only asserts what is stable under the race — queries
 // either answer or report kStaleSnapshot, nothing latches io_error, and
@@ -14,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -67,7 +67,6 @@ TEST(FollowerTsan, ConcurrentRefreshQueriesAndCheckpoints) {
   fopts.mode = PagedRTree<2>::OpenMode::kFollow;
   fopts.pool_pages = 32;
   fopts.pool_shards = 4;
-  fopts.follow_poll_ms = 1;  // background applier runs throughout
   ASSERT_TRUE(follower.Open(file.path, fopts));
 
   std::atomic<bool> stop{false};
@@ -109,8 +108,14 @@ TEST(FollowerTsan, ConcurrentRefreshQueriesAndCheckpoints) {
     });
   }
 
-  // Explicit refreshes racing the poll thread (refresh_mu_ serializes
-  // them) plus the metrics publisher reading the replica gauges.
+  // Two refreshers racing each other (refresh_mu_ serializes them), one
+  // of them also the metrics publisher reading the replica gauges.
+  std::thread applier([&follower, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      follower.Refresh();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   std::thread refresher([&follower, &stop] {
     obs::MetricsRegistry registry;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -137,6 +142,7 @@ TEST(FollowerTsan, ConcurrentRefreshQueriesAndCheckpoints) {
 
   stop.store(true, std::memory_order_relaxed);
   for (auto& r : readers) r.join();
+  applier.join();
   refresher.join();
 
   // Quiesced: one refresh converges the follower onto the writer's

@@ -10,10 +10,17 @@
 // the pool's bounded retry, counted in IoStats::read_retries, all counts
 // exact. The env-driven case at the bottom is the hook for the CI fault
 // sweep (CLIPBB_READ_FAULT=...), mirroring the crash-recovery env sweep.
+// The PagedWalFault cases aim the same injector at the log read (the
+// tailer's region read, shared by recovery and the follower's Refresh):
+// a failed read refuses the open or the refresh and writes nothing; a
+// flipped byte ends redo at the damaged record.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -256,6 +263,181 @@ TEST(PagedFaultEnv, EnvConfiguredFaultNeverTruncatesSilently) {
   EXPECT_EQ(out.sink_error_mismatches, 0u);
   // Whatever happened — absorbed or failed — both totals add up.
   EXPECT_EQ(out.ok_queries + out.failed_queries, specs.size());
+}
+
+// --------------------------------------------------------- log read faults
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<Entry<2>> WalFaultItems() {
+  Rng rng(437);
+  std::vector<Entry<2>> items;
+  for (int i = 0; i < 1500; ++i) {
+    items.push_back(Entry<2>{RandomRect<2>(rng, 0.04), i});
+  }
+  return items;
+}
+
+PagedRTree<2>::OpenOptions WriterOptions() {
+  PagedRTree<2>::OpenOptions opts;
+  opts.mode = PagedRTree<2>::OpenMode::kReadWrite;
+  opts.commit_every = 1;
+  // Every page stays resident: nothing is written back before a
+  // checkpoint, so the file is the bulk load and any committed prefix of
+  // the log is a consistent state.
+  opts.pool_pages = 4096;
+  return opts;
+}
+
+/// Inserts `ops` objects (ids from `first_id`), one commit each.
+void Churn(PagedRTree<2>& writer, int ops, ObjectId first_id,
+           uint32_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < ops; ++i) {
+    ASSERT_TRUE(writer.Insert(RandomRect<2>(rng, 0.04), first_id + i));
+  }
+}
+
+/// `path` as a writer that died after `ops` committed updates leaves it:
+/// the bulk-loaded page file and a log holding every commit (copied while
+/// the writer is still open, before its close checkpoints).
+void MakeCrashedWriterFiles(const std::string& path, int ops) {
+  auto tree = BuildTree<2>(Variant::kHilbert, WalFaultItems(), Domain2());
+  tree->EnableClipping(core::ClipConfig<2>::Sta());
+  FileGuard live(path + ".live");
+  ASSERT_TRUE(WritePagedTree<2>(*tree, live.path));
+  PagedRTree<2> writer;
+  ASSERT_TRUE(writer.Open(live.path, WriterOptions(),
+                          MakeRTree<2>(Variant::kHilbert, Domain2())));
+  Churn(writer, ops, 100000, 439);
+  WriteBytes(path, FileBytes(live.path));
+  WriteBytes(WalPathFor(path), FileBytes(WalPathFor(live.path)));
+  EXPECT_TRUE(writer.Close());
+}
+
+TEST(PagedWalFault, FailedLogReadRefusesTheOpenAndWritesNothing) {
+  FaultGuard guard;
+  FileGuard file(TempPath("walread"));
+  MakeCrashedWriterFiles(file.path, 12);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::string wal = WalPathFor(file.path);
+  const std::string pages0 = FileBytes(file.path);
+  const std::string wal0 = FileBytes(wal);
+  ASSERT_GT(wal0.size(), sizeof(storage::WalFileHeader));
+
+  for (const auto kind :
+       {storage::ReadFaultKind::kEio, storage::ReadFaultKind::kShortRead}) {
+    for (const bool writable : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (kind == storage::ReadFaultKind::kEio ? "eio"
+                                                            : "short")
+                   << (writable ? " write open" : " read-only open"));
+      storage::ReadFaultArm(kind, 1, 1, storage::kReadFaultWal);
+      PagedRTree<2> tree;
+      if (writable) {
+        EXPECT_FALSE(tree.Open(file.path, WriterOptions(),
+                               MakeRTree<2>(Variant::kHilbert, Domain2())));
+      } else {
+        EXPECT_FALSE(tree.Open(file.path));
+      }
+      EXPECT_EQ(storage::ReadFaultInjected(), 1u);
+      storage::ReadFaultDisarm();
+      EXPECT_EQ(FileBytes(wal), wal0);
+      EXPECT_EQ(FileBytes(file.path), pages0);
+    }
+  }
+}
+
+TEST(PagedWalFault, FlippedLogByteEndsReadOnlyRedoAtTheDamagedRecord) {
+  FaultGuard guard;
+  constexpr int kOps = 12;
+  FileGuard file(TempPath("walflip"));
+  MakeCrashedWriterFiles(file.path, kOps);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::string wal0 = FileBytes(WalPathFor(file.path));
+
+  storage::ReadFaultArm(storage::ReadFaultKind::kBitFlip, 1, 1,
+                        storage::kReadFaultWal);
+  PagedRTree<2> flipped;
+  ASSERT_TRUE(flipped.Open(file.path));
+  EXPECT_EQ(storage::ReadFaultInjected(), 1u);
+  storage::ReadFaultDisarm();
+  EXPECT_TRUE(flipped.recovery().log_found);
+  EXPECT_GT(flipped.recovery().tail_discarded, 0u);
+  EXPECT_LT(flipped.last_committed_op(), static_cast<uint64_t>(kOps));
+  EXPECT_TRUE(flipped.Close());
+  EXPECT_EQ(FileBytes(WalPathFor(file.path)), wal0);
+
+  // The damage was in the read, not the log: an unarmed open redoes it
+  // all.
+  PagedRTree<2> clean;
+  ASSERT_TRUE(clean.Open(file.path));
+  EXPECT_EQ(clean.recovery().tail_discarded, 0u);
+  EXPECT_EQ(clean.last_committed_op(), static_cast<uint64_t>(kOps));
+}
+
+TEST(PagedWalFault, FollowerRefreshRetriesAFailedLogRead) {
+  FaultGuard guard;
+  auto tree = BuildTree<2>(Variant::kHilbert, WalFaultItems(), Domain2());
+  tree->EnableClipping(core::ClipConfig<2>::Sta());
+  FileGuard file(TempPath("walrefresh"));
+  ASSERT_TRUE(WritePagedTree<2>(*tree, file.path));
+  PagedRTree<2> writer;
+  ASSERT_TRUE(writer.Open(file.path, WriterOptions(),
+                          MakeRTree<2>(Variant::kHilbert, Domain2())));
+  Churn(writer, 5, 100000, 441);
+  PagedRTree<2>::OpenOptions fopts;
+  fopts.mode = PagedRTree<2>::OpenMode::kFollow;
+  PagedRTree<2> follower;
+  ASSERT_TRUE(follower.Open(file.path, fopts));
+  Churn(writer, 5, 200000, 443);
+
+  storage::ReadFaultArm(storage::ReadFaultKind::kEio, 1, 1,
+                        storage::kReadFaultWal);
+  storage::Status st;
+  EXPECT_FALSE(follower.Refresh(&st));
+  EXPECT_EQ(st.kind, storage::ErrorKind::kWal) << st.kind_name();
+  EXPECT_EQ(storage::ReadFaultInjected(), 1u);
+  storage::ReadFaultDisarm();
+  EXPECT_EQ(follower.replica_windows_applied(), 0u);
+  EXPECT_FALSE(follower.io_error());
+
+  // The retry applies what the failed poll could not, and the follower
+  // then answers exactly like one opened fresh.
+  ASSERT_TRUE(follower.Refresh());
+  EXPECT_EQ(follower.replica_windows_applied(), 5u);
+  PagedRTree<2> fresh;
+  ASSERT_TRUE(fresh.Open(file.path, fopts));
+  EXPECT_EQ(follower.last_committed_op(), writer.last_committed_op());
+  EXPECT_EQ(follower.last_committed_op(), fresh.last_committed_op());
+  EXPECT_EQ(follower.replica_applied_lsn(), fresh.replica_applied_lsn());
+  EXPECT_EQ(std::memcmp(&follower.superblock(), &fresh.superblock(),
+                        sizeof(Superblock)),
+            0);
+  Rng rng(445);
+  for (int q = 0; q < 20; ++q) {
+    const auto query = RandomRect<2>(rng, 0.2);
+    std::vector<ObjectId> a, b;
+    storage::IoStats io_a, io_b;
+    storage::Status sa, sb;
+    follower.RangeQuery(query, &a, &io_a, nullptr, &sa);
+    fresh.RangeQuery(query, &b, &io_b, nullptr, &sb);
+    ASSERT_TRUE(sa.ok() && sb.ok());
+    ASSERT_EQ(a, b) << "query " << q;
+    EXPECT_EQ(io_a.leaf_accesses, io_b.leaf_accesses);
+    EXPECT_EQ(io_a.internal_accesses, io_b.internal_accesses);
+  }
+  EXPECT_TRUE(fresh.Close());
+  EXPECT_TRUE(follower.Close());
+  EXPECT_TRUE(writer.Close());
 }
 
 }  // namespace

@@ -1,20 +1,23 @@
 // Write-ahead-log unit coverage (storage/wal.h): record round-trip through
 // redo, CRC rejection of corrupt/torn tails, commit-boundary semantics
 // (uncommitted images are never replayed), LSN-idempotent redo, log
-// truncation at checkpoint — plus the buffer-pool WAL rule: a dirty frame
-// whose record is not durable is never written back without syncing the
-// log first.
+// truncation at checkpoint, agreement of the log's three readers (redo,
+// the tailer, scrub) on every fixture — plus the buffer-pool WAL rule: a
+// dirty frame whose record is not durable is never written back without
+// syncing the log first.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
+#include "storage/wal_scan.h"
 
 namespace clipbb::storage {
 namespace {
@@ -225,6 +228,167 @@ TEST(Wal, TruncateEmptiesLogAndKeepsLsnRunning) {
   Wal::RecoveryResult res;
   ASSERT_TRUE(Wal::Recover(f.path + ".wal", &file, &res));
   EXPECT_FALSE(res.log_found);  // truncated log has nothing to replay
+}
+
+/// One committed transaction a fixture wrote: its op_seq, commit LSN and
+/// the pages its images target, in log order.
+struct ExpectedWindow {
+  uint64_t op_seq;
+  uint64_t commit_lsn;
+  std::vector<int64_t> pages;
+};
+
+/// A log shape from the tests above, rebuilt by `write` (which returns
+/// the windows it committed), plus what its uncommitted remainder is.
+struct LogFixture {
+  const char* name;
+  std::function<std::vector<ExpectedWindow>(const std::string& wal_path)>
+      write;
+  uint64_t max_lsn;  // highest LSN of any valid record
+  bool tail;         // bytes follow the last commit
+};
+
+void AppendImage(Wal& wal, int64_t page, uint64_t op_seq) {
+  const uint64_t l = wal.next_lsn();
+  wal.AppendPageImage(page, ImageFor(page, l, std::byte{0x5C}).data(),
+                      op_seq);
+}
+
+std::vector<LogFixture> LogFixtures() {
+  return {
+      {"committed_then_pending",
+       [](const std::string& path) {
+         Wal wal;
+         EXPECT_TRUE(wal.Open(path, kPage, 1));
+         AppendImage(wal, 1, 1);
+         AppendImage(wal, 2, 1);
+         const uint64_t c = wal.AppendCommit(1);
+         AppendImage(wal, 3, 2);  // durable but commit-less
+         EXPECT_TRUE(wal.Sync());
+         return std::vector<ExpectedWindow>{{1, c, {1, 2}}};
+       },
+       4, true},
+      {"torn_record",
+       [](const std::string& path) {
+         Wal wal;
+         EXPECT_TRUE(wal.Open(path, kPage, 1));
+         AppendImage(wal, 0, 1);
+         const uint64_t c = wal.AppendCommit(1);
+         AppendImage(wal, 1, 2);
+         wal.AppendCommit(2);
+         EXPECT_TRUE(wal.Sync());
+         wal.Close();
+         // The second transaction's image loses its last half page.
+         EXPECT_EQ(::truncate(path.c_str(),
+                              16 + 2 * 40 + kPage + 40 + kPage / 2),
+                   0);
+         return std::vector<ExpectedWindow>{{1, c, {0}}};
+       },
+       2, true},
+      {"corrupt_record",
+       [](const std::string& path) {
+         Wal wal;
+         EXPECT_TRUE(wal.Open(path, kPage, 1));
+         AppendImage(wal, 0, 1);
+         const uint64_t c = wal.AppendCommit(1);
+         AppendImage(wal, 1, 2);
+         wal.AppendCommit(2);
+         EXPECT_TRUE(wal.Sync());
+         wal.Close();
+         PageFile raw;
+         EXPECT_TRUE(raw.Open(path, /*create=*/false));
+         const uint32_t garbage = 0xDEADBEEF;
+         EXPECT_TRUE(raw.WriteRaw(16 + 2 * 40 + kPage + 40 + kPage / 2,
+                                  &garbage, sizeof garbage));
+         return std::vector<ExpectedWindow>{{1, c, {0}}};
+       },
+       2, true},
+      {"leaked_images_of_failed_op",
+       [](const std::string& path) {
+         Wal wal;
+         EXPECT_TRUE(wal.Open(path, kPage, 1));
+         AppendImage(wal, 0, 7);  // op 7 fails: its image is never committed
+         EXPECT_TRUE(wal.Sync());
+         AppendImage(wal, 1, 8);
+         const uint64_t c = wal.AppendCommit(8);
+         EXPECT_TRUE(wal.Sync());
+         return std::vector<ExpectedWindow>{{8, c, {1}}};
+       },
+       3, false},
+      {"truncated_to_header",
+       [](const std::string& path) {
+         Wal wal;
+         EXPECT_TRUE(wal.Open(path, kPage, 10));
+         AppendImage(wal, 0, 1);
+         wal.AppendCommit(1);
+         EXPECT_TRUE(wal.Sync());
+         EXPECT_TRUE(wal.Truncate());
+         return std::vector<ExpectedWindow>{};
+       },
+       0, false},
+  };
+}
+
+// Redo, the tailer and scrub read every fixture alike: the same commit
+// windows (op_seq, commit LSN, page ids — leaked images adopted by none),
+// the same last op, max LSN, record and image counts, and tail bytes.
+TEST(WalReaders, RecoverTailerAndScrubAgreeOnEveryFixture) {
+  for (const LogFixture& fx : LogFixtures()) {
+    SCOPED_TRACE(fx.name);
+    FileGuard f(TempPath(fx.name));
+    PageFile file;
+    ASSERT_TRUE(file.Open(f.path, /*create=*/true, kPage));
+    const std::vector<std::byte> zero(kPage, std::byte{0});
+    for (int64_t p = 0; p < 4; ++p) {
+      ASSERT_TRUE(file.WritePage(p, zero.data()));
+    }
+    const std::string wal = f.path + ".wal";
+    const std::vector<ExpectedWindow> expected = fx.write(wal);
+
+    WalTailer tailer(wal);
+    std::vector<WalCommitWindow> windows;
+    WalScanResult scan;
+    ASSERT_EQ(tailer.Poll(&windows, &scan), WalTailer::PollResult::kOk);
+    ASSERT_EQ(windows.size(), expected.size());
+    uint64_t images = 0;
+    for (size_t w = 0; w < windows.size(); ++w) {
+      EXPECT_EQ(windows[w].op_seq, expected[w].op_seq);
+      EXPECT_EQ(windows[w].commit_lsn, expected[w].commit_lsn);
+      std::vector<int64_t> pages;
+      for (const WalPageImage& img : windows[w].images) {
+        pages.push_back(img.page_id);
+        EXPECT_EQ(img.bytes.size(), kPage);
+      }
+      EXPECT_EQ(pages, expected[w].pages);
+      images += pages.size();
+    }
+    const uint64_t tail =
+        tailer.stats().last_log_bytes - tailer.consumed_bytes();
+    EXPECT_EQ(tail > 0, fx.tail);
+    EXPECT_EQ(scan.max_lsn, fx.max_lsn);
+
+    WalScrubReport rep;
+    ASSERT_TRUE(ScrubWalFile(wal, &rep));
+    EXPECT_TRUE(rep.ok());
+    EXPECT_EQ(rep.commit_windows, windows.size());
+    EXPECT_EQ(rep.pages_imaged, images);
+    EXPECT_EQ(rep.records_scanned, scan.records_scanned);
+    EXPECT_EQ(rep.last_op_seq, scan.last_op_seq);
+    EXPECT_EQ(rep.max_lsn, fx.max_lsn);
+    EXPECT_EQ(rep.tail_bytes, tail);
+
+    Wal::RecoveryResult res;
+    ASSERT_TRUE(Wal::Recover(wal, &file, &res));
+    EXPECT_EQ(res.log_found, !expected.empty() || fx.tail);
+    EXPECT_EQ(res.pages_replayed, images);
+    EXPECT_EQ(res.records_scanned, scan.records_scanned);
+    EXPECT_EQ(res.last_op_seq,
+              expected.empty() ? 0 : expected.back().op_seq);
+    EXPECT_EQ(res.last_commit_lsn,
+              expected.empty() ? 0 : expected.back().commit_lsn);
+    EXPECT_EQ(res.max_lsn, fx.max_lsn);
+    EXPECT_EQ(res.tail_discarded, tail);
+  }
 }
 
 // Satellite regression: the pool must not write back a dirty frame whose

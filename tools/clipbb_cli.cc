@@ -26,8 +26,9 @@
 // `scrub` verifies every page checksum, the structural bounds, and the
 // free-page chain of a paged index offline (rtree/scrub.h); exit 0 means
 // the whole file is intact. `scrub --wal` instead validates the sidecar
-// `<idx>.wal` through the follower's scanner: CRC chain, commit framing,
-// and the torn/uncommitted tail byte count recovery would discard.
+// `<idx>.wal` through the log reader recovery and followers share: CRC
+// chain, commit framing, and the torn/uncommitted tail byte count
+// recovery would discard.
 //
 // Datasets: par02 rea02 par03 rea03 axo03 den03 neu03.
 // Variants: qr hr r* rr*.
@@ -41,7 +42,6 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "replica/wal_scan.h"
 #include "rtree/factory.h"
 #include "rtree/paged_rtree.h"
 #include "rtree/query_api.h"
@@ -50,6 +50,7 @@
 #include "stats/node_stats.h"
 #include "stats/storage_stats.h"
 #include "stats/tree_report.h"
+#include "storage/wal_scan.h"
 #include "workload/dataset.h"
 #include "workload/io.h"
 
@@ -337,14 +338,14 @@ int CmdScrub(const char* idx_path) {
   return ok ? 0 : 1;
 }
 
-// Offline WAL validation through the follower's committed-window scanner
-// (replica/wal_scan.h): the same code that decides what a tailing
-// replica applies decides what scrub calls valid, so the two can never
-// disagree about the committed prefix.
+// Offline WAL validation: one count-only poll of the log tailer
+// (storage/wal_scan.h) — the reader that recovery and a tailing replica
+// also run, so scrub cannot disagree with them about the committed
+// prefix.
 int CmdScrubWal(const char* idx_path) {
   const std::string wal_path = rtree::WalPathFor(idx_path);
-  replica::WalScrubReport rep;
-  if (!replica::ScrubWalFile(wal_path, &rep)) {
+  storage::WalScrubReport rep;
+  if (!storage::ScrubWalFile(wal_path, &rep)) {
     std::fprintf(stderr, "cannot read %s\n", wal_path.c_str());
     return 1;
   }
